@@ -16,16 +16,9 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .engine import (
-    EngineParams,
-    TheoremViolation,
-    max_feasible_epsilon,
-    paper_epsilon,
-    run_trichotomy,
-)
+from .engine import EngineParams, TheoremViolation, max_feasible_epsilon, run_trichotomy
 from .formats import ParseError, parse_graph, parse_weights, serialize_edge_list
 from .graphs import Graph
 from .harness import BatchVerificationError, GenSpec, generate, run_batch
@@ -42,6 +35,7 @@ from .witnesses import (
     AnticompletePair,
     Stuck,
     format_rational,
+    parameters_document,
     parse_rational,
     witness_document,
     witness_from_document,
@@ -89,24 +83,24 @@ def _build_mass(g: Graph, option: str) -> MassProvider:
     raise ValueError(f"unknown mass {option!r} (use cardinality, chromatic, weighted:FILE)")
 
 
-def _default_p(epsilon: Fraction, tau: int) -> int:
-    # the largest p whose schedule tolerates this epsilon, floored at 2; the
-    # floor keeps oversized epsilons runnable so they can report Stuck
-    best = 2
-    p = 2
-    while epsilon <= max_feasible_epsilon(p, tau):
-        best = p
-        p += 1
-    return best
-
-
-def _resolve_params(t: CaterpillarTree, args: argparse.Namespace) -> EngineParams:
-    tau = args.tau if args.tau is not None else fit_tau(t)
-    if args.epsilon is None:
-        return EngineParams(tau, None, args.p)
-    epsilon = parse_rational(args.epsilon)
-    p = args.p if args.p is not None else _default_p(epsilon, tau)
-    return EngineParams(tau, epsilon, p)
+def _resolve_params(
+    t: CaterpillarTree, tau: Optional[int], epsilon: Optional[str], p: Optional[int]
+) -> EngineParams:
+    """Fill in what was not given: tau from fit-tau of the target; p, when
+    epsilon is given, as the largest p whose schedule tolerates it; the rest
+    from the proven constants."""
+    if tau is None:
+        tau = fit_tau(t)
+    if epsilon is None:
+        return EngineParams(tau, None, p)
+    eps = parse_rational(epsilon)
+    if p is None:
+        # floored at 2, which keeps oversized epsilons runnable so they can
+        # report Stuck
+        p = 2
+        while eps <= max_feasible_epsilon(p + 1, tau):
+            p += 1
+    return EngineParams(tau, eps, p)
 
 
 def _run_engine(
@@ -126,11 +120,7 @@ def _run_engine(
             "graph": serialize_edge_list(g),
             "tree": serialize_edge_list(t.tree),
             "mass": mass_option,
-            "params": {
-                "tau": params.tau,
-                "epsilon": format_rational(params.epsilon),
-                "p": params.p,
-            },
+            "params": parameters_document(params),
         }
         raise
 
@@ -149,7 +139,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     t = _load_tree(args.tree)
     m = _build_mass(g, args.mass)
-    params = _resolve_params(t, args)
+    params = _resolve_params(t, args.tau, args.epsilon, args.p)
     trace: Optional[List[dict]] = [] if args.trace else None
     rng = random.Random(args.x1_seed) if args.x1_seed is not None else None
     w = _run_engine(g, m, t, params, args.mass, trace=trace, x1_rng=rng)
@@ -164,12 +154,8 @@ def _cmd_fit_tau(args: argparse.Namespace) -> int:
 
 
 def _cmd_epsilon(args: argparse.Namespace) -> int:
-    epsilon = paper_epsilon(args.tau)
-    doc = {
-        "tau": args.tau,
-        "p": 1 << (args.tau * args.tau),
-        "epsilon": format_rational(epsilon),
-    }
+    params = EngineParams(args.tau)
+    doc = {"tau": params.tau, "p": params.p, "epsilon": format_rational(params.epsilon)}
     print(json.dumps(doc, indent=2))
     return EX_OK
 
@@ -211,13 +197,11 @@ def _cmd_chi_split(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     t = _load_tree(args.tree)
     m = ChromaticMass(g)
-    epsilon = parse_rational(args.epsilon)
-    tau = args.tau if args.tau is not None else fit_tau(t)
-    p = args.p if args.p is not None else _default_p(epsilon, tau)
-    params = EngineParams(tau, epsilon, p)
+    params = _resolve_params(t, args.tau, args.epsilon, args.p)
+    epsilon = params.epsilon
     w = _run_engine(g, m, t, params, "chromatic")
     verdict = "unverified" if isinstance(w, Stuck) else "pass"
-    chi_g = exact_chromatic_number(g)
+    chi_g = m.chi_total
     doc = {
         "witness": witness_document(g, m, w, params, verdict),
         "chi_g": chi_g,
@@ -280,14 +264,12 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         trials = int(doc["trials"])
         tree = _tree_from_value(doc["tree"])
         given = doc.get("params", {})
-        tau = int(given["tau"]) if "tau" in given else fit_tau(tree)
-        if "epsilon" in given:
-            epsilon = parse_rational(given["epsilon"])
-            p = int(given["p"]) if "p" in given else _default_p(epsilon, tau)
-        else:
-            epsilon = paper_epsilon(tau)
-            p = int(given["p"]) if "p" in given else 1 << (tau * tau)
-        params = EngineParams(tau, epsilon, p)
+        params = _resolve_params(
+            tree,
+            int(given["tau"]) if "tau" in given else None,
+            given.get("epsilon"),
+            int(given["p"]) if "p" in given else None,
+        )
         specs = [GenSpec.from_document(sd) for sd in doc.get("specs", [])]
         report = run_batch(specs, tree, params, trials)
     except (KeyError, TypeError, ValueError) as ex:

@@ -27,7 +27,16 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .graphs import Graph, VertexSet, components, connected_order, is_connected, neighbours
+from .graphs import (
+    Graph,
+    VertexSet,
+    components,
+    connected_order,
+    is_connected,
+    neighbour_mask,
+    neighbours,
+    shortest_path,
+)
 from .mass import MassProvider
 from .oracles import brute_induced_embedding, verify_witness
 from .trees import (
@@ -73,12 +82,16 @@ class ScheduleError(ValueError):
         self.max_feasible = max_feasible
 
 
-def paper_epsilon(tau: int) -> Fraction:
-    """The proven constant: 1 / (p * 2^p * (tau+3)) with p = 2^(tau^2)."""
+def paper_p(tau: int) -> int:
+    """The proven nursery size p = 2^(tau^2)."""
     if tau < 3:
         raise ValueError("tau must be at least 3")
-    p = 1 << (tau * tau)
-    return Fraction(1, p * (1 << p) * (tau + 3))
+    return 1 << (tau * tau)
+
+
+def paper_epsilon(tau: int) -> Fraction:
+    """The proven constant: the largest feasible epsilon at p = paper_p(tau)."""
+    return max_feasible_epsilon(paper_p(tau), tau)
 
 
 def max_feasible_epsilon(p: int, tau: int) -> Fraction:
@@ -151,7 +164,7 @@ class EngineParams:
         else:
             object.__setattr__(self, "epsilon", Fraction(self.epsilon))
         if self.p is None:
-            object.__setattr__(self, "p", 1 << (self.tau * self.tau))
+            object.__setattr__(self, "p", paper_p(self.tau))
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.p < 2:
@@ -163,7 +176,7 @@ class EngineParams:
 
     @property
     def guarantee(self) -> bool:
-        return self.epsilon <= paper_epsilon(self.tau) and self.p >= 1 << (self.tau * self.tau)
+        return self.epsilon <= paper_epsilon(self.tau) and self.p >= paper_p(self.tau)
 
 
 @dataclass(frozen=True)
@@ -410,18 +423,11 @@ def check_realization(g: Graph, m: MassProvider, r: Realization) -> List[str]:
             problems.append(f"class of leaf {v} is not its spire path plus reservoir")
 
     # neighbour mask per class, shared by conditions 3-5
-    reach: Dict[int, int] = {}
-    for v in vs:
-        acc = 0
-        for w in r.assignment[v]:
-            acc |= g.adj(w)
-        reach[v] = acc
+    reach = {v: neighbour_mask(g, r.assignment[v].mask) for v in vs}
 
     # 3: leaf path vertices see nothing outside their own class
     for v in leaves:
-        path_reach = 0
-        for w in r.spires[v].xs:
-            path_reach |= g.adj(w)
+        path_reach = neighbour_mask(g, VertexSet(r.spires[v].xs).mask)
         for u in vs:
             if u != v and path_reach & r.assignment[u].mask:
                 problems.append(f"spire path of leaf {v} has edges to the class of {u}")
@@ -505,9 +511,7 @@ def improve(
     if isinstance(grown, Pair):
         return grown
 
-    xs_reach = 0
-    for v in grown.xs:
-        xs_reach |= g.adj(v)
+    xs_reach = neighbour_mask(g, VertexSet(grown.xs).mask)
     shaved: Dict[int, int] = {
         j: r.assignment[heads[j]].mask & ~xs_reach for j in range(k) if j != i
     }
@@ -590,36 +594,17 @@ def _host_paths(g: Graph, r: Realization, comp: Chrysalis) -> VertexSet:
     for u in sorted(comp.leaves()):
         anchor = picks[comp.parent[u]]
         s = r.spires[u]
-        allowed = s.z.mask | (1 << anchor)
-        # breadth-first shortest path from the anchor to the path tip inside
-        # the reservoir; shortest paths are induced
-        parent = {anchor: anchor}
-        frontier = [anchor]
-        goal = s.xs[-1]
-        while frontier and goal not in parent:
-            nxt = []
-            for w in frontier:
-                scan = g.adj(w) & allowed
-                while scan:
-                    low = scan & -scan
-                    d = low.bit_length() - 1
-                    scan ^= low
-                    if d not in parent:
-                        parent[d] = w
-                        nxt.append(d)
-            frontier = nxt
-        if goal not in parent:
+        # a shortest path from the anchor to the path tip inside the
+        # reservoir; shortest paths are induced
+        walk = shortest_path(g, anchor, s.xs[-1], s.z.mask | (1 << anchor))
+        if walk is None:
             raise ValueError(f"leaf {u}: reservoir path from the spine pick is broken")
-        walk = [goal]
-        while walk[-1] != anchor:
-            walk.append(parent[walk[-1]])
-        walk.reverse()
         if len(walk) >= tau:
             path = walk[:tau]
         else:
             # extend backwards along the spire path, which is anticomplete to
             # everything the walk can touch except its tip
-            path = walk + list(s.xs[-2::-1][: tau - len(walk)])
+            path = walk + s.xs[-2::-1][: tau - len(walk)]
         for w in path:
             host |= 1 << w
     return VertexSet.from_mask(host)
@@ -629,7 +614,6 @@ def extract_copy(
     g: Graph,
     r: Realization,
     t: CaterpillarTree,
-    node_limit: Optional[int] = None,
     m: Optional[MassProvider] = None,
 ) -> Tuple[int, ...]:
     """Pull an induced copy of t out of a butterfly realization.
@@ -655,7 +639,7 @@ def extract_copy(
             raise ValueError("realization invalid: " + "; ".join(bad))
 
     host = _host_paths(g, r, comp)
-    found = brute_induced_embedding(g, target, node_limit=node_limit, within=host)
+    found = brute_induced_embedding(g, target, within=host)
     if not found.found:
         raise TheoremViolation(
             f"no induced copy of the target inside the {len(host)}-vertex host; "
@@ -699,13 +683,11 @@ def run_trichotomy(
         note("verified", variant=type(w).__name__)
         return w
 
-    def stuck(s: Stuck) -> Witness:
+    def stuck(stage: str, diagnostics: Dict[str, str]) -> Witness:
         if params.guarantee:
-            raise TheoremViolation(
-                f"engine stuck at {s.stage} despite guaranteed parameters"
-            )
-        note("stuck", at=s.stage)
-        return s
+            raise TheoremViolation(f"engine stuck at {stage} despite guaranteed parameters")
+        note("stuck", at=stage)
+        return Stuck.make(stage, diagnostics)
 
     for v in range(g.n):
         if m.mass(VertexSet([v])) >= eps:
@@ -720,20 +702,18 @@ def run_trichotomy(
         kappas = params.kappas
     except ScheduleError as ex:
         return stuck(
-            Stuck.make(
-                "kappa-schedule-infeasible",
-                {
-                    "epsilon": format_rational(eps),
-                    "p": str(params.p),
-                    "max_feasible_epsilon": format_rational(ex.max_feasible),
-                },
-            )
+            "kappa-schedule-infeasible",
+            {
+                "epsilon": format_rational(eps),
+                "p": str(params.p),
+                "max_feasible_epsilon": format_rational(ex.max_feasible),
+            },
         )
 
     try:
         blocks = initial_blocks(g, m, kappas[0], eps, params.p)
     except EngineStuck as ex:
-        return stuck(Stuck.make(ex.stage, ex.diagnostics))
+        return stuck(ex.stage, ex.diagnostics)
     note("blocks", count=len(blocks), kappa0=format_rational(kappas[0]))
 
     nursery = Nursery(params.tau, [Chrysalis(params.tau, h, {}) for h in range(params.p)])
@@ -742,32 +722,21 @@ def run_trichotomy(
     if bad:
         raise TheoremViolation("initial realization invalid: " + "; ".join(bad))
 
-    def butterfly_component() -> Optional[int]:
-        for idx, comp in enumerate(r.nursery.components):
+    # each merge removes exactly one of the p components, so step p finds a
+    # single component: a butterfly, or a nursery whose potential is too low
+    for step in range(1, params.p + 1):
+        comps = r.nursery.components
+        for idx, comp in enumerate(comps):
             if comp.is_butterfly:
-                return idx
-        return None
-
-    for step in range(1, params.p):
-        hit = butterfly_component()
-        if hit is not None:
-            note("butterfly", improvements=step - 1)
-            sub = restrict(r, r.nursery.components[hit], r.nursery.creations[hit])
-            return finish(InducedCopy(extract_copy(g, sub, t, m=m)))
-        if len(r.nursery.components) < 2:
-            # unreachable: each merge removes exactly one of p components
-            return stuck(
-                Stuck.make(
-                    "phi-contradiction",
-                    {"components": "1", "phi": str(phi(r.nursery))},
-                )
-            )
+                note("butterfly", improvements=step - 1)
+                sub = restrict(r, comp, r.nursery.creations[idx])
+                return finish(InducedCopy(extract_copy(g, sub, t, m=m)))
+        if step == params.p:
+            break
         try:
             outcome = improve(g, m, r, kappas[step], eps, x1_rng=x1_rng)
         except EngineStuck as ex:
-            diag = dict(ex.diagnostics)
-            diag["improvement"] = str(step)
-            return stuck(Stuck.make(ex.stage, diag))
+            return stuck(ex.stage, {**ex.diagnostics, "improvement": str(step)})
         if isinstance(outcome, Pair):
             note("anticomplete", improvements=step - 1)
             return finish(AnticompletePair(outcome.a, outcome.b))
@@ -787,20 +756,12 @@ def run_trichotomy(
             components=len(r.nursery.components),
         )
 
-    hit = butterfly_component()
-    if hit is not None:
-        note("butterfly", improvements=params.p - 1)
-        sub = restrict(r, r.nursery.components[hit], r.nursery.creations[hit])
-        return finish(InducedCopy(extract_copy(g, sub, t, m=m)))
-    comp = r.nursery.components[0]
     return stuck(
-        Stuck.make(
-            "phi-contradiction",
-            {
-                "components": str(len(r.nursery.components)),
-                "largest_size": str(comp.size),
-                "phi": str(phi(r.nursery)),
-                "floor": str(2 * params.p),
-            },
-        )
+        "phi-contradiction",
+        {
+            "components": str(len(comps)),
+            "largest_size": str(comps[0].size),
+            "phi": str(phi(r.nursery)),
+            "floor": str(2 * params.p),
+        },
     )

@@ -8,7 +8,7 @@ big-integer instructions.  Induced subgraphs are always represented as a
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 
 class VertexSet:
@@ -153,21 +153,66 @@ def neighbours(g: Graph, v: int) -> VertexSet:
     return VertexSet.from_mask(g.adj(v))
 
 
-def _flood(g: Graph, seed: int, allowed: int) -> int:
-    """Mask of the connected component of `seed` inside `allowed`."""
-    comp = seed
-    frontier = seed
+def neighbour_mask(g: Graph, mask: int) -> int:
+    """Mask of every vertex adjacent to some member of `mask`."""
+    adj = g._adj
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= adj[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _flood(g: Graph, seed: int, allowed: int, order: Optional[List[int]] = None) -> int:
+    """Mask of the connected component of `seed` inside `allowed`.
+
+    When `order` is given, each breadth-first layer beyond the seed is
+    appended to it in ascending id order.
+    """
+    comp = frontier = seed
     while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= g.adj(low.bit_length() - 1)
-            f ^= low
-        nxt &= allowed & ~comp
-        comp |= nxt
-        frontier = nxt
+        frontier = neighbour_mask(g, frontier) & allowed & ~comp
+        comp |= frontier
+        if order is not None:
+            order.extend(VertexSet.from_mask(frontier))
     return comp
+
+
+def shortest_path(
+    g: Graph, a: int, b: int, allowed: Optional[int] = None
+) -> Optional[Tuple[int, ...]]:
+    """A shortest a-b path inside the `allowed` mask (default: every vertex).
+
+    Breadth-first from a, each vertex taking as parent the first frontier
+    vertex that reaches it, frontier vertices in discovery order and their
+    neighbours by ascending id.  Returns the path including both ends, or
+    None when b is unreachable.
+    """
+    adj = g._adj
+    if allowed is None:
+        allowed = (1 << g.n) - 1
+    parent = {a: a}
+    frontier = [a]
+    while frontier and b not in parent:
+        nxt = []
+        for u in frontier:
+            scan = adj[u] & allowed
+            while scan:
+                low = scan & -scan
+                v = low.bit_length() - 1
+                scan ^= low
+                if v not in parent:
+                    parent[v] = u
+                    nxt.append(v)
+        frontier = nxt
+    if b not in parent:
+        return None
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return tuple(path)
 
 
 def components(g: Graph, x: VertexSet) -> List[VertexSet]:
@@ -178,8 +223,7 @@ def components(g: Graph, x: VertexSet) -> List[VertexSet]:
     remaining = x.mask
     pieces = []
     while remaining:
-        low = remaining & -remaining
-        comp = _flood(g, low, remaining)
+        comp = _flood(g, remaining & -remaining, remaining)
         pieces.append(comp)
         remaining &= ~comp
     # peeling from the least remaining bit makes the stable sort's ties
@@ -226,20 +270,7 @@ def connected_order(g: Graph, z: VertexSet, z1: int) -> List[int]:
     """
     if z1 not in z:
         raise ValueError(f"start vertex {z1} not in the set")
-    seen = 1 << z1
     order = [z1]
-    frontier = seen
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= g.adj(low.bit_length() - 1)
-            f ^= low
-        nxt &= z.mask & ~seen
-        order.extend(VertexSet.from_mask(nxt))
-        seen |= nxt
-        frontier = nxt
-    if seen != z.mask:
+    if _flood(g, 1 << z1, z.mask, order) != z.mask:
         raise ValueError("induced subgraph is disconnected")
     return order

@@ -29,6 +29,7 @@ from .trees import CaterpillarTree
 from .witnesses import (
     Stuck,
     format_rational,
+    parameters_document,
     parse_rational,
     variant_tag,
     witness_document,
@@ -346,11 +347,7 @@ def run_batch(
             return {
                 "trial": k,
                 "spec": spec.to_document(),
-                "params": {
-                    "tau": params.tau,
-                    "epsilon": format_rational(params.epsilon),
-                    "p": params.p,
-                },
+                "params": parameters_document(params),
                 "witness": witness_doc,
                 "problems": problems,
             }

@@ -305,16 +305,21 @@ def verify_witness(g: Graph, m, t, epsilon: Fraction, w: Witness) -> Verificatio
         elif m.mass(neighbours(g, v)) < epsilon:
             problems.append(f"neighbourhood mass of vertex {v} is below epsilon")
     elif isinstance(w, AnticompletePair):
+        stray = (w.a | w.b) - g.vertices()
         if not w.a or not w.b:
             problems.append("pair sides must be nonempty")
-        if not w.a.isdisjoint(w.b):
-            problems.append("pair sides intersect")
-        elif not is_anticomplete(g, w.a, w.b):
-            problems.append("an edge joins the two sides")
-        if w.a and m.mass(w.a) < epsilon:
-            problems.append("mass of side a is below epsilon")
-        if w.b and m.mass(w.b) < epsilon:
-            problems.append("mass of side b is below epsilon")
+        if stray:
+            # the graph and the mass are only defined on 0..n-1
+            problems.extend(f"pair vertex {v} out of range" for v in stray)
+        else:
+            if not w.a.isdisjoint(w.b):
+                problems.append("pair sides intersect")
+            elif not is_anticomplete(g, w.a, w.b):
+                problems.append("an edge joins the two sides")
+            if w.a and m.mass(w.a) < epsilon:
+                problems.append("mass of side a is below epsilon")
+            if w.b and m.mass(w.b) < epsilon:
+                problems.append("mass of side b is below epsilon")
     elif isinstance(w, InducedCopy):
         tg = t.tree if hasattr(t, "tree") else t
         mapping = w.mapping

@@ -11,34 +11,15 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .graphs import Graph, is_connected
+from .graphs import Graph, is_connected, shortest_path
 
 
 def tree_path(g: Graph, a: int, b: int) -> Tuple[int, ...]:
     """The unique a-b path of a tree, as a vertex tuple including both ends."""
-    if a == b:
-        return (a,)
-    parent = {a: a}
-    frontier = [a]
-    while frontier and b not in parent:
-        nxt = []
-        for u in frontier:
-            mask = g.adj(u)
-            while mask:
-                low = mask & -mask
-                v = low.bit_length() - 1
-                mask ^= low
-                if v not in parent:
-                    parent[v] = u
-                    nxt.append(v)
-        frontier = nxt
-    if b not in parent:
+    path = shortest_path(g, a, b)
+    if path is None:
         raise ValueError("vertices are not connected")
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return tuple(path)
+    return path
 
 
 def _is_tree(g: Graph) -> bool:

@@ -82,6 +82,11 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"bad rational {text!r}: {exc}") from None
 
 
+def parameters_document(params) -> dict:
+    """The {tau, epsilon, p} document of a parameter set."""
+    return {"tau": params.tau, "epsilon": format_rational(params.epsilon), "p": params.p}
+
+
 def witness_document(
     g: Graph,
     m,
@@ -110,12 +115,7 @@ def witness_document(
     elif isinstance(witness, Stuck):
         doc["stage"] = witness.stage
         doc["diagnostics"] = {k: str(v) for k, v in witness.diagnostics}
-    doc["parameters"] = {
-        "tau": params.tau,
-        "epsilon": format_rational(params.epsilon),
-        "p": params.p,
-        "guarantee": params.guarantee,
-    }
+    doc["parameters"] = {**parameters_document(params), "guarantee": params.guarantee}
     doc["verdict"] = verdict
     if trace is not None:
         doc["trace"] = trace

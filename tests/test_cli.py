@@ -116,6 +116,20 @@ def test_verify_rejects_malformed_document(tmp_path, capsys, hook_file):
     assert "malformed witness document" in capsys.readouterr().err
 
 
+def test_verify_rejects_out_of_range_pair(tmp_path, capsys, hook_file):
+    doc = {"variant": "anticomplete-pair", "a": [0], "b": [4, 9]}
+    witness = _write(tmp_path, "w.json", json.dumps(doc))
+    weights = _write(tmp_path, "weights.txt", "1\n" * 6)
+    for mass in ("cardinality", "weighted:" + weights):
+        code = main(["verify", "--graph", hook_file, "--tree", hook_file,
+                     "--witness", witness, "--epsilon", "1/6", "--mass", mass])
+        assert code == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "verdict": "fail",
+            "problems": ["pair vertex 9 out of range"],
+        }
+
+
 def test_fit_tau_and_epsilon_commands(tmp_path, capsys, hook_file):
     assert main(["fit-tau", "--tree", hook_file]) == 0
     assert capsys.readouterr().out == "3\n"

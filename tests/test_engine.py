@@ -501,6 +501,30 @@ def test_run_trichotomy_anticomplete_on_long_path():
     assert again == out
 
 
+def test_run_trichotomy_merges_then_sticks_at_phi():
+    # two 80-vertex paths become the p = 2 blocks; the second path's cover
+    # edges let improve merge them, which leaves one component short of a
+    # butterfly
+    hook = CaterpillarTree(hook_graph())
+    edges = [(i, i + 1) for i in range(79)]
+    edges += [(i, i + 1) for i in range(80, 159)]
+    edges += [(80 + t, 2 + t) for t in range(78)]
+    edges += [(i, i + 1) for i in range(160, 199)]
+    g = Graph(200, edges)
+    params = EngineParams(3, Fraction(1, 48), 2)
+    trace = []
+    out = run_trichotomy(g, CardinalityMass(200), hook, params, trace=trace)
+    assert out == Stuck.make(
+        "phi-contradiction",
+        {"components": "1", "floor": "4", "largest_size": "2", "phi": "4"},
+    )
+    assert trace == [
+        {"stage": "blocks", "count": "2", "kappa0": "19/48"},
+        {"stage": "improved", "improvement": "1", "kappa": "7/48", "components": "1"},
+        {"stage": "stuck", "at": "phi-contradiction"},
+    ]
+
+
 def test_run_trichotomy_seeded_start_still_verifies():
     hook = CaterpillarTree(hook_graph())
     g = path_graph(200)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from catspire.graphs import Graph, VertexSet
-from catspire.mass import CardinalityMass
+from catspire.mass import CardinalityMass, WeightedMass
 from catspire.oracles import (
     NODE_LIMIT_ENV,
     NodeLimitExceeded,
@@ -120,6 +120,15 @@ def test_verify_anticomplete_pair():
     assert _check(g, light, Fraction(1, 2)).problems == (
         "mass of side a is below epsilon",
     )
+
+
+def test_verify_anticomplete_pair_out_of_range():
+    g = hook_graph()
+    stray = AnticompletePair(VertexSet([0]), VertexSet([4, 9]))
+    for m in (CardinalityMass(6), WeightedMass([1] * 6)):
+        r = verify_witness(g, m, CaterpillarTree(g), Fraction(1, 6), stray)
+        assert r.verdict == "fail"
+        assert r.problems == ("pair vertex 9 out of range",)
 
 
 def test_verify_induced_copy():
