@@ -25,7 +25,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .graphs import (
     Graph,
@@ -232,22 +232,70 @@ def validate_spire(g: Graph, s: Spire, within: Optional[VertexSet] = None) -> Li
     return problems
 
 
+def least_reaching(reach: Callable[[int], bool], length: int) -> Optional[int]:
+    """The least i in range(length) with reach(i), or None when there is none.
+
+    reach must be monotone: once true at some index, true at every larger
+    one.  The search is unbounded, exponential and then binary (Bentley &
+    Yao, "An almost optimal algorithm for unbounded searching", IPL 1976):
+    it probes 0, 1, 3, 7, ... and then bisects, so it calls reach at most
+    2*ceil(log2(i + 1)) + 1 times and never past index 2*i.
+    """
+    lo, hi = -1, 0  # reach is false at every index <= lo
+    while True:
+        hi = min(hi, length - 1)
+        if hi <= lo:
+            return None
+        if reach(hi):
+            break
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reach(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _prefix_unions(parts: Sequence[int]) -> Callable[[int], int]:
+    """i -> the union of the masks parts[0..i], built from checkpoints.
+
+    Every union built is kept as a checkpoint and the next one starts from
+    the nearest checkpoint below it.  Under least_reaching the checkpoints
+    are its probes, so O(log) masks are alive and all the unions together
+    cost O(i) ORs, as many as one linear walk.
+    """
+    marks = {-1: 0}
+
+    def union(i: int) -> int:
+        base = max(k for k in marks if k <= i)
+        acc = marks[base]
+        for part in parts[base + 1 : i + 1]:
+            acc |= part
+        marks[i] = acc
+        return acc
+
+    return union
+
+
 def big_piece(g: Graph, m: MassProvider, x: VertexSet, epsilon: Fraction) -> Union[Piece, Pair]:
     """The unique component of mass > mass(x) - epsilon, or an anticomplete pair.
 
-    Components are scanned in the canonical order (descending size, ties by
-    least member); the minimal prefix of mass >= epsilon either splits off a
-    heavy suffix (a pair), ends in a pivot component that splits against the
-    rest (a pair), or pins the pivot as the big piece.
+    Components are taken in the canonical order (descending size, ties by
+    least member); the least prefix of mass >= epsilon, found by search,
+    either splits off a heavy suffix (a pair), ends in a pivot component
+    that splits against the rest (a pair), or pins the pivot as the big
+    piece.  The whole order is x itself, so some prefix always qualifies.
     """
     if m.mass(x) < 3 * epsilon:
         raise ValueError("big_piece needs mass(x) >= 3*epsilon")
     comps = components(g, x)
-    acc = 0
-    for idx, comp in enumerate(comps):
-        acc |= comp.mask
-        if m.mass(VertexSet.from_mask(acc)) >= epsilon:
-            break
+    prefix_mask = _prefix_unions([c.mask for c in comps])
+    idx = least_reaching(
+        lambda i: m.mass(VertexSet.from_mask(prefix_mask(i))) >= epsilon, len(comps)
+    )
+    acc = prefix_mask(idx)
     prefix = VertexSet.from_mask(acc)
     suffix = VertexSet.from_mask(x.mask & ~acc)
     if m.mass(suffix) >= epsilon:
@@ -333,21 +381,27 @@ def grow_spire(
 def initial_blocks(
     g: Graph, m: MassProvider, kappa0: Fraction, epsilon: Fraction, p: int
 ) -> List[VertexSet]:
-    """Greedy p disjoint blocks, each the minimal id-prefix of mass >= kappa0.
+    """Greedy p disjoint blocks, each the least id-prefix of mass >= kappa0
+    among the ids left after the previous block, found by search.
 
     The caller has already ruled out vertices of mass >= epsilon, so each
     block's mass sits in [kappa0, kappa0 + epsilon) by subadditivity, the
     same minimal-set argument that makes maximal block families large.
     """
     blocks: List[VertexSet] = []
-    acc = 0
-    for v in range(g.n):
-        acc |= 1 << v
-        if m.mass(VertexSet.from_mask(acc)) >= kappa0:
-            blocks.append(VertexSet.from_mask(acc))
-            acc = 0
-            if len(blocks) == p:
-                return blocks
+    start = 0
+
+    def block(i: int) -> VertexSet:
+        return VertexSet.from_mask(((2 << i) - 1) << start)
+
+    while True:
+        end = least_reaching(lambda i: m.mass(block(i)) >= kappa0, g.n - start)
+        if end is None:
+            break
+        blocks.append(block(end))
+        start += end + 1
+        if len(blocks) == p:
+            return blocks
     raise EngineStuck(
         "insufficient-blocks",
         {
@@ -461,6 +515,43 @@ def check_realization(g: Graph, m: MassProvider, r: Realization) -> List[str]:
     return problems
 
 
+def _first_cover(
+    g: Graph,
+    m: MassProvider,
+    order: Sequence[int],
+    shaved: Dict[int, int],
+    bar: Fraction,
+) -> Tuple[int, Optional[int], int]:
+    """The reservoir walk of improve: (steps, j, covered).
+
+    Walking order one vertex at a time, step s takes the neighbours of
+    order[:s] out of every shaved class.  steps is the least s at which
+    some class keeps mass below bar, j the least such class index, and
+    covered the neighbour mask of order[:steps].  When no step gets there,
+    j is None and steps covers the whole order.
+
+    The classes only shrink as s grows, so by monotonicity of the mass the
+    least s is found by search; j is the least index that hit at that s,
+    which is the first hit of the step-by-step walk.
+    """
+    covered = _prefix_unions([g.adj(v) for v in order])
+    indices = sorted(shaved)
+    hits: Dict[int, int] = {}
+
+    def some_class_left_light(i: int) -> bool:
+        reach = covered(i)
+        for j in indices:
+            if m.mass(VertexSet.from_mask(shaved[j] & ~reach)) < bar:
+                hits[i] = j
+                return True
+        return False
+
+    last = least_reaching(some_class_left_light, len(order))
+    if last is None:
+        return len(order), None, covered(len(order) - 1)
+    return last + 1, hits[last], covered(last)
+
+
 def improve(
     g: Graph,
     m: MassProvider,
@@ -472,11 +563,12 @@ def improve(
     """One merge step: components drop by one, potential does not drop.
 
     Grows a spire in the chosen head class, shaves every other head class
-    down to the part that cannot see the spire path, then walks the spire
-    reservoir in connected order until some shaved class is nearly covered.
-    The covered class becomes the new head class; the spire prefix becomes
-    the class of the merged vertex.  Failure to cover anything is itself a
-    verified anticomplete pair.
+    down to the part that cannot see the spire path, then takes the least
+    prefix of the spire reservoir in connected order, found by search
+    (_first_cover), whose neighbours nearly cover some shaved class.  The
+    covered class becomes the new head class; the spire path and the
+    reservoir prefix become the class of the merged vertex.  Failure to
+    cover anything is itself a verified anticomplete pair.
     """
     nursery = r.nursery
     comps = nursery.components
@@ -517,23 +609,11 @@ def improve(
     }
 
     z_order = connected_order(g, grown.z, grown.xs[-1])
-    covered_reach = 0
-    hit: Optional[Tuple[int, int]] = None
-    for steps in range(1, len(z_order) + 1):
-        covered_reach |= g.adj(z_order[steps - 1])
-        for j in sorted(shaved):
-            left = VertexSet.from_mask(shaved[j] & ~covered_reach)
-            if m.mass(left) < kappa_next + epsilon:
-                hit = (steps, j)
-                break
-        if hit:
-            break
-
-    if hit is None:
+    steps, j, covered_reach = _first_cover(g, m, z_order, shaved, kappa_next + epsilon)
+    if j is None:
         j = min(shaved)
         return Pair(grown.z, VertexSet.from_mask(shaved[j] & ~covered_reach))
 
-    steps, j = hit
     if steps == 1:
         # the shaved classes exclude all neighbours of x_tau = z_1, so a hit
         # at the first step means the class was already below the bar
@@ -666,8 +746,9 @@ def run_trichotomy(
         raise ValueError("graph must have at least one vertex")
     if not isinstance(t, CaterpillarTree):
         t = CaterpillarTree(t)
-    if params.tau < fit_tau(t):
-        raise ValueError(f"tau={params.tau} does not fit the target (needs {fit_tau(t)})")
+    need = fit_tau(t)
+    if params.tau < need:
+        raise ValueError(f"tau={params.tau} does not fit the target (needs {need})")
     eps = params.epsilon
 
     def note(stage: str, **info: object) -> None:

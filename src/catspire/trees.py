@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .graphs import Graph, is_connected, shortest_path
+from .graphs import Graph, is_connected, neighbours, shortest_path
 
 
 def tree_path(g: Graph, a: int, b: int) -> Tuple[int, ...]:
@@ -28,28 +28,39 @@ def _is_tree(g: Graph) -> bool:
     return g.edge_count == g.n - 1 and is_connected(g, g.vertices())
 
 
-def _high_degree_on_one_path(g: Graph, threshold: int) -> bool:
-    """True iff the vertices of degree >= threshold all lie on one path.
+def _hub(g: Graph, threshold: int) -> Optional[int]:
+    """Fewest vertices on a path of the tree g through every vertex of degree
+    >= threshold; None when no path goes through them all.
 
-    Any containing path can be trimmed to end at extreme high-degree
-    vertices, so trying all pairs of them as endpoints is exhaustive.
+    Pruning, again and again, every leaf below the threshold leaves the
+    least subtree that spans those vertices.  Every path through them all
+    contains that subtree, so there is one exactly when the subtree is
+    itself a path, and then it is the shortest.
     """
-    hi = [v for v in range(g.n) if g.degree(v) >= threshold]
+    hi = {v for v in range(g.n) if g.degree(v) >= threshold}
     if len(hi) <= 1:
-        return True
-    need = set(hi)
-    for a in hi:
-        for b in hi:
-            if a < b and need.issubset(tree_path(g, a, b)):
-                return True
-    return False
+        return len(hi)
+    degree = [g.degree(v) for v in range(g.n)]
+    alive = set(range(g.n))
+    leaves = [v for v in range(g.n) if degree[v] == 1 and v not in hi]
+    while leaves:
+        v = leaves.pop()
+        alive.remove(v)
+        for w in neighbours(g, v):
+            if w in alive:
+                degree[w] -= 1
+                if degree[w] == 1 and w not in hi:
+                    leaves.append(w)
+    if any(degree[v] > 2 for v in alive):
+        return None
+    return len(alive)
 
 
 def is_caterpillar_subdivision(t: Graph) -> bool:
     """True iff some path of the tree t contains every vertex of degree >= 3."""
     if not _is_tree(t):
         raise ValueError("input graph is not a tree")
-    return _high_degree_on_one_path(t, 3)
+    return _hub(t, 3) is not None
 
 
 class CaterpillarTree:
@@ -61,8 +72,8 @@ class CaterpillarTree:
         if not _is_tree(tree):
             raise ValueError("target must be a tree (connected and acyclic)")
         self.tree = tree
-        self.is_caterpillar = _high_degree_on_one_path(tree, 2)
-        self.is_caterpillar_subdivision = _high_degree_on_one_path(tree, 3)
+        self.is_caterpillar = _hub(tree, 2) is not None
+        self.is_caterpillar_subdivision = _hub(tree, 3) is not None
 
     def __repr__(self) -> str:
         return f"CaterpillarTree(n={self.tree.n}, subdivision={self.is_caterpillar_subdivision})"
@@ -80,29 +91,19 @@ def fit_tau(t) -> int:
     if not t.is_caterpillar_subdivision:
         raise ValueError("fit number is defined only for caterpillar subdivisions")
     g = t.tree
-    hi = [v for v in range(g.n) if g.degree(v) >= 3]
-
-    if len(hi) <= 1:
-        hub = len(hi)
-    else:
-        hub = min(
-            len(path)
-            for a in hi
-            for b in hi
-            if a < b
-            for path in (tree_path(g, a, b),)
-            if set(hi).issubset(path)
-        )
-
+    hub = _hub(g, 3)
     max_degree = max((g.degree(v) for v in range(g.n)), default=0)
 
-    # longest path all of whose internal vertices have degree exactly 2
+    # longest path all of whose internal vertices have degree exactly 2: from
+    # each vertex, follow each neighbour on through degree-2 vertices only
     thread = 1
     for a in range(g.n):
-        for b in range(a + 1, g.n):
-            path = tree_path(g, a, b)
-            if all(g.degree(v) == 2 for v in path[1:-1]):
-                thread = max(thread, len(path))
+        for b in neighbours(g, a):
+            prev, v, length = a, b, 2
+            while g.degree(v) == 2:
+                prev, v = v, (g.adj(v) & ~(1 << prev)).bit_length() - 1
+                length += 1
+            thread = max(thread, length)
 
     return max(3, hub, max_degree, thread)
 
