@@ -1,5 +1,8 @@
 """Target-tree classification, fit numbers, chrysalises, and nursery potentials."""
 
+from itertools import combinations
+
+import networkx as nx
 import pytest
 
 from catspire.graphs import Graph
@@ -37,6 +40,20 @@ def test_caterpillar_classification():
     assert spider.is_caterpillar_subdivision
     assert not spider.is_caterpillar
     assert fit_tau(spider) == 3
+
+
+def test_caterpillar_flags_match_every_path():
+    # both flags ask whether one path holds every vertex of degree >= 2 (>= 3
+    # for subdivisions); check them against every path of every tree, up to
+    # isomorphism, on 2 to 9 vertices
+    for k in range(2, 10):
+        for shape in nx.nonisomorphic_trees(k):
+            g = Graph(k, list(shape.edges()))
+            paths = [set(p) for a, b in combinations(range(k), 2) for p in nx.all_simple_paths(shape, a, b)]
+            t = CaterpillarTree(g)
+            for flag, threshold in ((t.is_caterpillar, 2), (t.is_caterpillar_subdivision, 3)):
+                high = {v for v in range(k) if g.degree(v) >= threshold}
+                assert flag == any(high <= p for p in paths), (g.edges(), threshold)
 
 
 def test_non_subdivision_rejected():
