@@ -6,9 +6,7 @@ the target tree, and every returned witness is re-verified from scratch."""
 from .engine import (
     EngineParams,
     EngineStuck,
-    KappaSchedule,
     Realization,
-    ScheduleError,
     Spire,
     TheoremViolation,
     big_piece,
@@ -17,7 +15,6 @@ from .engine import (
     grow_spire,
     improve,
     initial_blocks,
-    kappa_schedule,
     paper_epsilon,
     run_trichotomy,
 )
@@ -79,11 +76,9 @@ __all__ = [
     "HighMassNeighbourhood",
     "HighMassVertex",
     "InducedCopy",
-    "KappaSchedule",
     "MassProvider",
     "Nursery",
     "Realization",
-    "ScheduleError",
     "Spire",
     "Stuck",
     "TheoremViolation",
@@ -107,7 +102,6 @@ __all__ = [
     "is_anticomplete",
     "is_connected",
     "is_improvement",
-    "kappa_schedule",
     "neighbours",
     "paper_epsilon",
     "phi",

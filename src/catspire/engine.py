@@ -24,7 +24,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .graphs import (
@@ -74,14 +73,6 @@ class TheoremViolation(RuntimeError):
     """A step the proof guarantees has failed; the run is not trustworthy."""
 
 
-class ScheduleError(ValueError):
-    """epsilon too large for this p; carries the largest feasible epsilon."""
-
-    def __init__(self, message: str, max_feasible: Fraction) -> None:
-        super().__init__(message)
-        self.max_feasible = max_feasible
-
-
 def paper_p(tau: int) -> int:
     """The proven nursery size p = 2^(tau^2)."""
     if tau < 3:
@@ -98,58 +89,18 @@ def max_feasible_epsilon(p: int, tau: int) -> Fraction:
     return Fraction(1, p * (1 << p) * (tau + 3))
 
 
-class KappaSchedule(Sequence[Fraction]):
-    """kappa_i = 2^(-i)/p - (tau+2)*epsilon for i = 0..p.
-
-    Entries are computed on demand: at the proven constants p is 2^(tau^2)
-    and each entry carries a p-bit denominator, so materializing the whole
-    schedule is out of the question.  kappa is strictly decreasing in i, so
-    feasibility is a single endpoint check: kappa_p >= epsilon.
-    """
-
-    def __init__(self, p: int, epsilon: Fraction, tau: int) -> None:
-        if p < 2:
-            raise ValueError("schedule needs p >= 2")
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if tau < 3:
-            raise ValueError("tau must be at least 3")
-        self.p = p
-        self.epsilon = Fraction(epsilon)
-        self.tau = tau
-        if self[p] < epsilon:
-            limit = max_feasible_epsilon(p, tau)
-            raise ScheduleError(
-                f"epsilon {epsilon} is too large for p={p}: the schedule floor "
-                f"kappa_p falls below epsilon; largest feasible epsilon is {limit}",
-                max_feasible=limit,
-            )
-
-    def __len__(self) -> int:
-        return self.p + 1
-
-    def __getitem__(self, i: int) -> Fraction:
-        if not isinstance(i, int):
-            raise TypeError("schedule indices must be integers")
-        if i < 0:
-            i += len(self)
-        if not 0 <= i <= self.p:
-            raise IndexError(f"kappa index {i} outside 0..{self.p}")
-        return Fraction(1, self.p << i) - (self.tau + 2) * self.epsilon
-
-
-def kappa_schedule(p: int, epsilon: Fraction, tau: int) -> KappaSchedule:
-    return KappaSchedule(p, epsilon, tau)
-
-
 @dataclass(frozen=True)
 class EngineParams:
-    """tau, epsilon, p, with the derived schedule and the guarantee flag.
+    """tau, epsilon, p, with the kappa schedule and the guarantee flag.
 
-    epsilon and p default to the proven constants for the given tau.  The
-    schedule is built lazily: axiom checks never touch it, and several
-    interesting oversized-epsilon runs have no feasible schedule at all yet
-    still terminate at the axiom stage.
+    epsilon and p default to the proven constants for the given tau.
+    kappa(i) is computed at the step that reads it: at the proven constants
+    p is 2^(tau^2) and each entry carries a p-bit denominator.  kappa
+    decreases in i, so the schedule is feasible exactly when kappa(p) >=
+    epsilon, that is epsilon <= max_feasible_epsilon(p, tau).  Construction
+    does not check that: run_trichotomy does, after the axiom scan, because
+    several interesting oversized-epsilon runs have no feasible schedule at
+    all yet still terminate at the axiom stage.
     """
 
     tau: int
@@ -170,13 +121,16 @@ class EngineParams:
         if self.p < 2:
             raise ValueError("p must be at least 2")
 
-    @cached_property
-    def kappas(self) -> KappaSchedule:
-        return KappaSchedule(self.p, self.epsilon, self.tau)
+    def kappa(self, i: int) -> Fraction:
+        """kappa_i = 2^(-i)/p - (tau+2)*epsilon, for i = 0..p."""
+        if not 0 <= i <= self.p:
+            raise IndexError(f"kappa index {i} outside 0..{self.p}")
+        return Fraction(1, self.p << i) - (self.tau + 2) * self.epsilon
 
     @property
     def guarantee(self) -> bool:
-        return self.epsilon <= paper_epsilon(self.tau) and self.p >= paper_p(self.tau)
+        # p first: paper_epsilon(tau) has a 2^(tau^2)-bit denominator, 8 GiB at tau = 6
+        return self.p >= paper_p(self.tau) and self.epsilon <= paper_epsilon(self.tau)
 
 
 @dataclass(frozen=True)
@@ -476,8 +430,10 @@ def check_realization(g: Graph, m: MassProvider, r: Realization) -> List[str]:
         if (VertexSet(s.xs) | s.z) != r.assignment[v]:
             problems.append(f"class of leaf {v} is not its spire path plus reservoir")
 
-    # neighbour mask per class, shared by conditions 3-5
-    reach = {v: neighbour_mask(g, r.assignment[v].mask) for v in vs}
+    # neighbour mask per non-head class, shared by conditions 4 and 5: both
+    # test only pairs with a non-head side (a child is never a head), and
+    # adjacency is symmetric, so such a pair is tested from that side
+    reach = {v: neighbour_mask(g, r.assignment[v].mask) for v in vs if v not in heads}
 
     # 3: leaf path vertices see nothing outside their own class
     for v in leaves:
@@ -495,7 +451,8 @@ def check_realization(g: Graph, m: MassProvider, r: Realization) -> List[str]:
         for u in vs[ai + 1 :]:
             if (v, u) in allowed or (v in heads and u in heads):
                 continue
-            if reach[v] & r.assignment[u].mask:
+            near, far = (u, v) if v in heads else (v, u)
+            if reach[near] & r.assignment[far].mask:
                 problems.append(f"stray edges between the classes of {v} and {u}")
 
     # 5: each directed edge child -> parent covers: every parent-class vertex
@@ -779,26 +736,26 @@ def run_trichotomy(
             note("axiom-2", vertex=v)
             return finish(HighMassNeighbourhood(v))
 
-    try:
-        kappas = params.kappas
-    except ScheduleError as ex:
+    limit = max_feasible_epsilon(params.p, params.tau)
+    if eps > limit:
         return stuck(
             "kappa-schedule-infeasible",
             {
                 "epsilon": format_rational(eps),
                 "p": str(params.p),
-                "max_feasible_epsilon": format_rational(ex.max_feasible),
+                "max_feasible_epsilon": format_rational(limit),
             },
         )
 
+    kappa0 = params.kappa(0)
     try:
-        blocks = initial_blocks(g, m, kappas[0], eps, params.p)
+        blocks = initial_blocks(g, m, kappa0, eps, params.p)
     except EngineStuck as ex:
         return stuck(ex.stage, ex.diagnostics)
-    note("blocks", count=len(blocks), kappa0=format_rational(kappas[0]))
+    note("blocks", count=len(blocks), kappa0=format_rational(kappa0))
 
     nursery = Nursery(params.tau, [Chrysalis(params.tau, h, {}) for h in range(params.p)])
-    r = Realization(nursery, {h: blocks[h] for h in range(params.p)}, {}, kappas[0])
+    r = Realization(nursery, {h: blocks[h] for h in range(params.p)}, {}, kappa0)
     bad = check_realization(g, m, r)
     if bad:
         raise TheoremViolation("initial realization invalid: " + "; ".join(bad))
@@ -815,7 +772,7 @@ def run_trichotomy(
         if step == params.p:
             break
         try:
-            outcome = improve(g, m, r, kappas[step], eps, x1_rng=x1_rng)
+            outcome = improve(g, m, r, params.kappa(step), eps, x1_rng=x1_rng)
         except EngineStuck as ex:
             return stuck(ex.stage, {**ex.diagnostics, "improvement": str(step)})
         if isinstance(outcome, Pair):
@@ -833,7 +790,7 @@ def run_trichotomy(
         note(
             "improved",
             improvement=step,
-            kappa=format_rational(kappas[step]),
+            kappa=format_rational(r.kappa),
             components=len(r.nursery.components),
         )
 

@@ -165,8 +165,10 @@ def exact_chromatic_number(
 ) -> int:
     """Exact chromatic number by branch and bound with saturation ordering.
 
-    A greedy clique gives the lower bound, greedy DSATUR the upper bound.
-    `within` colors an induced subgraph without copying it.
+    A greedy clique gives the lower bound.  The search's first descent takes
+    the least free colour at every step, which is greedy DSATUR, so it finds
+    the first upper bound itself.  `within` colors an induced subgraph
+    without copying it.
     """
     mask = within.mask if within is not None else (1 << g.n) - 1
     verts = list(VertexSet.from_mask(mask))
@@ -186,8 +188,10 @@ def exact_chromatic_number(
             nb ^= low
     deg = [a.bit_count() for a in adj]
 
+    full = (1 << k) - 1
+
     # greedy clique lower bound: extend by max degree inside the candidate set
-    cand = (1 << k) - 1
+    cand = full
     clique = 0
     while cand:
         pick, pick_deg = -1, -1
@@ -205,62 +209,39 @@ def exact_chromatic_number(
 
     color = [-1] * k
 
-    def dsatur_pick(colored_mask: int) -> int:
-        best_i, best_key = -1, None
-        pool = ((1 << k) - 1) & ~colored_mask
-        p = pool
-        while p:
-            low = p & -p
-            i = low.bit_length() - 1
-            sat = 0
-            nb = adj[i] & colored_mask
-            while nb:
-                nlow = nb & -nb
-                sat |= 1 << color[nlow.bit_length() - 1]
-                nb ^= nlow
-            key = (sat.bit_count(), deg[i], -i)
-            if best_key is None or key > best_key:
-                best_i, best_key = i, key
-            p ^= low
-        return best_i
-
-    # greedy DSATUR upper bound
-    colored = 0
-    used_max = 0
-    for _ in range(k):
-        i = dsatur_pick(colored)
-        taken = 0
-        nb = adj[i] & colored
-        while nb:
-            low = nb & -nb
-            taken |= 1 << color[low.bit_length() - 1]
-            nb ^= low
-        c = 0
-        while (taken >> c) & 1:
-            c += 1
-        color[i] = c
-        used_max = max(used_max, c + 1)
-        colored |= 1 << i
-    best = used_max
-    if best == lower:
-        return best
-
-    color = [-1] * k
-
-    def solve(colored_mask: int, used: int) -> None:
-        nonlocal best
-        if used >= best:
-            return
-        if colored_mask == (1 << k) - 1:
-            best = used
-            return
-        i = dsatur_pick(colored_mask)
+    def taken_colours(i: int, colored_mask: int) -> int:
+        # bit c is set when some coloured neighbour of i has colour c
         taken = 0
         nb = adj[i] & colored_mask
         while nb:
             low = nb & -nb
             taken |= 1 << color[low.bit_length() - 1]
             nb ^= low
+        return taken
+
+    def dsatur_pick(colored_mask: int) -> int:
+        best_i, best_key = -1, None
+        p = full & ~colored_mask
+        while p:
+            low = p & -p
+            i = low.bit_length() - 1
+            key = (taken_colours(i, colored_mask).bit_count(), deg[i], -i)
+            if best_key is None or key > best_key:
+                best_i, best_key = i, key
+            p ^= low
+        return best_i
+
+    best = k + 1
+
+    def solve(colored_mask: int, used: int) -> None:
+        nonlocal best
+        if used >= best:
+            return
+        if colored_mask == full:
+            best = used
+            return
+        i = dsatur_pick(colored_mask)
+        taken = taken_colours(i, colored_mask)
         top = min(used + 1, best - 1)
         for c in range(top):
             if (taken >> c) & 1:

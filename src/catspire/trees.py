@@ -14,14 +14,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from .graphs import Graph, is_connected, neighbours, shortest_path
 
 
-def tree_path(g: Graph, a: int, b: int) -> Tuple[int, ...]:
-    """The unique a-b path of a tree, as a vertex tuple including both ends."""
-    path = shortest_path(g, a, b)
-    if path is None:
-        raise ValueError("vertices are not connected")
-    return path
-
-
 def _is_tree(g: Graph) -> bool:
     if g.n == 0:
         return False

@@ -29,7 +29,6 @@ from catspire.engine import (
     extract_copy,
     grow_spire,
     improve,
-    kappa_schedule,
     paper_epsilon,
     run_trichotomy,
     validate_spire,
@@ -589,20 +588,20 @@ def test_kappa_schedule_recurrence_is_exact(capsys):
     ]
     walked = 0
     for p, eps, tau in cases:
-        ks = kappa_schedule(p, eps, tau)
+        params = EngineParams(tau, eps, p)
         step = (tau + 2) * eps
         spots = {0, 1, p // 2, p - 1, p}
-        prev = ks[0]
+        prev = params.kappa(0)
         assert prev == Fraction(1, p) - step
         for i in range(1, p + 1):
-            cur = ks[i]
+            cur = params.kappa(i)
             assert prev == 2 * cur + step, (p, tau, i)
             if i in spots:
                 assert cur == Fraction(1, p << i) - step, (p, tau, i)
             prev = cur
             walked += 1
-        assert ks[p] == eps
-    demo = kappa_schedule(8, Fraction(1, 12288), 3)
-    assert demo[0] == Fraction(1531, 12288) and demo[8] == Fraction(1, 12288)
+        assert params.kappa(p) == eps
+    demo = EngineParams(3, Fraction(1, 12288), 8)
+    assert demo.kappa(0) == Fraction(1531, 12288) and demo.kappa(8) == Fraction(1, 12288)
     _report(capsys, "schedule-constants", True,
             f"{walked} recurrence steps exact across three schedules")

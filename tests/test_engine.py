@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import dataclasses
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catspire.engine import (
     EngineParams,
     EngineStuck,
-    KappaSchedule,
     Pair,
     Piece,
     Realization,
-    ScheduleError,
     Spire,
     TheoremViolation,
     big_piece,
@@ -21,7 +21,6 @@ from catspire.engine import (
     grow_spire,
     improve,
     initial_blocks,
-    kappa_schedule,
     max_feasible_epsilon,
     paper_epsilon,
     restrict,
@@ -71,51 +70,35 @@ def test_max_feasible_epsilon():
 
 def test_kappa_schedule_frozen():
     eps = Fraction(1, 12288)
-    ks = kappa_schedule(8, eps, 3)
-    assert len(ks) == 9
-    assert ks[0] == Fraction(1531, 12288)
-    assert ks[8] == eps
-    assert ks[-1] == ks[8]
+    params = EngineParams(3, eps, 8)
+    assert params.kappa(0) == Fraction(1531, 12288)
+    assert params.kappa(8) == eps
     for i in range(1, 9):
-        assert ks[i - 1] == 2 * ks[i] + 5 * eps
-    assert list(ks) == [ks[i] for i in range(9)]
+        assert params.kappa(i - 1) == 2 * params.kappa(i) + 5 * eps
 
 
 def test_kappa_schedule_index_errors():
-    ks = kappa_schedule(8, Fraction(1, 12288), 3)
+    params = EngineParams(3, Fraction(1, 12288), 8)
     with pytest.raises(IndexError, match="kappa index 9 outside 0..8"):
-        ks[9]
+        params.kappa(9)
     with pytest.raises(IndexError):
-        ks[-10]
-    with pytest.raises(TypeError, match="indices must be integers"):
-        ks["x"]
+        params.kappa(-10)
+    with pytest.raises(IndexError, match="kappa index -1 outside 0..8"):
+        params.kappa(-1)
 
 
 def test_kappa_schedule_feasibility():
-    with pytest.raises(ScheduleError) as exc:
-        kappa_schedule(2, Fraction(1, 10), 3)
-    assert exc.value.max_feasible == Fraction(1, 48)
-    assert isinstance(exc.value, ValueError)
+    # an infeasible epsilon is accepted here and caught by run_trichotomy
+    assert EngineParams(3, Fraction(1, 10), 2).kappa(2) < Fraction(1, 10)
     # The max feasible epsilon sits exactly on the boundary.
-    assert kappa_schedule(2, Fraction(1, 48), 3)[2] == Fraction(1, 48)
-
-
-def test_kappa_schedule_ctor_errors():
-    with pytest.raises(ValueError, match="schedule needs p >= 2"):
-        KappaSchedule(1, Fraction(1, 48), 3)
-    with pytest.raises(ValueError, match="epsilon must be positive"):
-        KappaSchedule(2, Fraction(0), 3)
-    with pytest.raises(ValueError, match="tau must be at least 3"):
-        KappaSchedule(2, Fraction(1, 48), 2)
+    assert EngineParams(3, Fraction(1, 48), 2).kappa(2) == Fraction(1, 48)
 
 
 def test_kappa_schedule_is_lazy_for_large_p():
     params = EngineParams(4)
     assert params.p == 1 << 16
-    ks = params.kappas
-    assert len(ks) == (1 << 16) + 1
     # kappa_p collapses to epsilon exactly at the proven constants.
-    assert ks[params.p] == params.epsilon
+    assert params.kappa(params.p) == params.epsilon
 
 
 def test_engine_params_defaults_and_guarantee():
@@ -123,7 +106,6 @@ def test_engine_params_defaults_and_guarantee():
     assert params.epsilon == paper_epsilon(3)
     assert params.p == 512
     assert params.guarantee
-    assert params.kappas is params.kappas
     loose = EngineParams(3, Fraction(1, 12288), 8)
     assert not loose.guarantee
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -316,6 +298,10 @@ def test_check_realization_flags_stray_edge():
     noisy = Graph(24, list(g.edges()) + [(7, 12)])
     out = check_realization(noisy, CardinalityMass(24), r)
     assert out == ["stray edges between the classes of 4 and 5"]
+    # head 0 against leaf 5, whose class holds 12
+    noisy = Graph(24, list(g.edges()) + [(0, 12)])
+    out = check_realization(noisy, CardinalityMass(24), r)
+    assert out == ["stray edges between the classes of 0 and 5"]
 
 
 def test_check_realization_flags_overlap():
@@ -548,17 +534,39 @@ def test_run_trichotomy_stuck_off_guarantee():
     }
 
 
+class _AllOrNothing:
+    """Mass 1 on the whole vertex set and 0 on every proper subset, so no
+    vertex or neighbourhood axiom fires on a path."""
+
+    def __init__(self, n: int) -> None:
+        self.full = (1 << n) - 1
+
+    def mass(self, x: VertexSet) -> Fraction:
+        return Fraction(1) if x.mask == self.full else Fraction(0)
+
+
 def test_run_trichotomy_guarantee_never_stuck():
-    class _AllOrNothing:
-        def __init__(self, n: int) -> None:
-            self.full = (1 << n) - 1
-
-        def mass(self, x: VertexSet) -> Fraction:
-            return Fraction(1) if x.mask == self.full else Fraction(0)
-
     hook = CaterpillarTree(hook_graph())
     with pytest.raises(TheoremViolation, match="despite guaranteed parameters"):
         run_trichotomy(path_graph(6), _AllOrNothing(6), hook, EngineParams(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 6), st.integers(2, 12), st.sampled_from([-1, 0, 1]))
+def test_kappa_feasibility_boundary(tau, p, shift):
+    # epsilon just above, at, or just below the largest feasible epsilon
+    limit = max_feasible_epsilon(p, tau)
+    eps = Fraction(1, limit.denominator + shift)
+    kappa_p = Fraction(1, p * 2**p) - (tau + 2) * eps
+    out = run_trichotomy(
+        path_graph(6), _AllOrNothing(6), CaterpillarTree(hook_graph()), EngineParams(tau, eps, p)
+    )
+    assert isinstance(out, Stuck)
+    if kappa_p < eps:
+        assert out.stage == "kappa-schedule-infeasible"
+        assert out.diag_dict()["max_feasible_epsilon"] == f"1/{limit.denominator}"
+    else:
+        assert out.stage == "insufficient-blocks"
 
 
 def test_run_trichotomy_input_errors():

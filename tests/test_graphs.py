@@ -11,6 +11,7 @@ from catspire.graphs import (
     is_anticomplete,
     is_connected,
     neighbours,
+    shortest_path,
 )
 from helpers import complete_graph, cycle_graph, path_graph, star_graph
 
@@ -159,3 +160,10 @@ def test_connected_order_errors():
         connected_order(g, VertexSet([0, 1]), 3)
     with pytest.raises(ValueError, match="disconnected"):
         connected_order(g, VertexSet([0, 1, 3]), 0)
+
+
+def test_shortest_path_frozen():
+    assert shortest_path(path_graph(5), 0, 4) == (0, 1, 2, 3, 4)
+    assert shortest_path(path_graph(5), 3, 3) == (3,)
+    forest = Graph(4, [(0, 1), (2, 3)])
+    assert shortest_path(forest, 0, 3) is None

@@ -1,8 +1,11 @@
 """Brute-force baselines and the independent witness checker."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catspire.graphs import Graph, VertexSet
 from catspire.mass import CardinalityMass, WeightedMass
@@ -78,6 +81,52 @@ def test_chromatic_frozen():
     assert exact_chromatic_number(cycle_graph(5), within=VertexSet([0, 1, 2])) == 2
     with pytest.raises(ValueError, match="exact coloring limited to 64"):
         exact_chromatic_number(Graph(65, []))
+
+
+def brute_chromatic_number(g, members):
+    """The least k such that g[members] has a proper k-colouring, found by
+    trying every colour for each vertex in turn."""
+    members = list(members)
+    colour = {}
+
+    def colourable(i, k):
+        if i == len(members):
+            return True
+        v = members[i]
+        for c in range(k):
+            if all(colour[u] != c for u in members[:i] if g.has_edge(u, v)):
+                colour[v] = c
+                if colourable(i + 1, k):
+                    return True
+        return False
+
+    k = 0
+    while not colourable(0, k):
+        k += 1
+    return k
+
+
+def _graph_from_bits(n, bits):
+    """The graph on n vertices with the i-th vertex pair an edge when bit i is set."""
+    pairs = combinations(range(n), 2)
+    return Graph(n, [e for b, e in enumerate(pairs) if bits >> b & 1])
+
+
+def test_chromatic_matches_brute_force_on_every_small_graph():
+    for n in range(6):
+        for bits in range(1 << (n * (n - 1) // 2)):
+            g = _graph_from_bits(n, bits)
+            assert exact_chromatic_number(g) == brute_chromatic_number(g, range(n)), (n, bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_chromatic_matches_brute_force_on_random_graphs(data):
+    n = data.draw(st.integers(1, 9))
+    g = _graph_from_bits(n, data.draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+    within = data.draw(st.one_of(st.none(), st.integers(0, (1 << n) - 1).map(VertexSet.from_mask)))
+    members = range(n) if within is None else within
+    assert exact_chromatic_number(g, within=within) == brute_chromatic_number(g, members)
 
 
 def _check(g, w, epsilon):

@@ -15,18 +15,9 @@ from catspire.trees import (
     is_caterpillar_subdivision,
     phi,
     is_improvement,
-    tree_path,
     validate_chrysalis,
 )
 from helpers import hook_graph, path_graph, star_graph
-
-
-def test_tree_path_frozen():
-    assert tree_path(path_graph(5), 0, 4) == (0, 1, 2, 3, 4)
-    assert tree_path(path_graph(5), 3, 3) == (3,)
-    forest = Graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(ValueError, match="vertices are not connected"):
-        tree_path(forest, 0, 3)
 
 
 def test_caterpillar_classification():
