@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from .engine import EngineParams, TheoremViolation, max_feasible_epsilon, run_trichotomy
+from .engine import EngineParams, TheoremViolation, run_trichotomy
 from .formats import ParseError, parse_graph, parse_weights, serialize_edge_list
 from .graphs import Graph
-from .harness import BatchVerificationError, GenSpec, generate, run_batch
+from .harness import MODELS, BatchVerificationError, GenSpec, generate, run_batch
 from .mass import CardinalityMass, ChromaticMass, MassProvider, WeightedMass
 from .oracles import (
     NodeLimitExceeded,
@@ -34,6 +33,7 @@ from .trees import CaterpillarTree, fit_tau
 from .witnesses import (
     AnticompletePair,
     Stuck,
+    Witness,
     format_rational,
     parameters_document,
     parse_rational,
@@ -86,21 +86,9 @@ def _build_mass(g: Graph, option: str) -> MassProvider:
 def _resolve_params(
     t: CaterpillarTree, tau: Optional[int], epsilon: Optional[str], p: Optional[int]
 ) -> EngineParams:
-    """Fill in what was not given: tau from fit-tau of the target; p, when
-    epsilon is given, as the largest p whose schedule tolerates it; the rest
-    from the proven constants."""
-    if tau is None:
-        tau = fit_tau(t)
-    if epsilon is None:
-        return EngineParams(tau, None, p)
-    eps = parse_rational(epsilon)
-    if p is None:
-        # floored at 2, which keeps oversized epsilons runnable so they can
-        # report Stuck
-        p = 2
-        while eps <= max_feasible_epsilon(p + 1, tau):
-            p += 1
-    return EngineParams(tau, eps, p)
+    """tau defaults to fit-tau of the target; EngineParams fills in the rest."""
+    eps = None if epsilon is None else parse_rational(epsilon)
+    return EngineParams(fit_tau(t) if tau is None else tau, eps, p)
 
 
 def _run_engine(
@@ -135,7 +123,8 @@ def _write_replay(replay: dict) -> None:
         print(f"could not write replay bundle: {ex}", file=sys.stderr)
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
+def _certify(args: argparse.Namespace) -> Tuple[MassProvider, EngineParams, Witness, dict]:
+    """Run the pipeline that the certify flags describe and build its witness document."""
     g = _load_graph(args.graph)
     t = _load_tree(args.tree)
     m = _build_mass(g, args.mass)
@@ -144,7 +133,12 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     rng = random.Random(args.x1_seed) if args.x1_seed is not None else None
     w = _run_engine(g, m, t, params, args.mass, trace=trace, x1_rng=rng)
     verdict = "unverified" if isinstance(w, Stuck) else "pass"
-    print(json.dumps(witness_document(g, m, w, params, verdict, trace=trace), indent=2))
+    return m, params, w, witness_document(g, m, w, params, verdict, trace=trace)
+
+
+def _cmd_certify(args: argparse.Namespace) -> int:
+    _, _, w, doc = _certify(args)
+    print(json.dumps(doc, indent=2))
     return EX_STUCK if isinstance(w, Stuck) else EX_OK
 
 
@@ -194,25 +188,14 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_chi_split(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    t = _load_tree(args.tree)
-    m = ChromaticMass(g)
-    params = _resolve_params(t, args.tau, args.epsilon, args.p)
-    epsilon = params.epsilon
-    w = _run_engine(g, m, t, params, "chromatic")
-    verdict = "unverified" if isinstance(w, Stuck) else "pass"
+    m, params, w, witness = _certify(args)
     chi_g = m.chi_total
-    doc = {
-        "witness": witness_document(g, m, w, params, verdict),
-        "chi_g": chi_g,
-        "epsilon_chi_g": format_rational(epsilon * chi_g),
-    }
+    bar = params.epsilon * chi_g
+    doc = {"witness": witness, "chi_g": chi_g, "epsilon_chi_g": format_rational(bar)}
     if isinstance(w, AnticompletePair):
-        chi_a = exact_chromatic_number(g, within=w.a)
-        chi_b = exact_chromatic_number(g, within=w.b)
-        doc["chi_a"] = chi_a
-        doc["chi_b"] = chi_b
-        doc["bound_holds"] = chi_a >= epsilon * chi_g and chi_b >= epsilon * chi_g
+        # chi of each side from the mass's memo: mass(side) = chi(side) / chi(G)
+        chi_a, chi_b = (int(m.mass(side) * chi_g) for side in (w.a, w.b))
+        doc.update(chi_a=chi_a, chi_b=chi_b, bound_holds=chi_a >= bar and chi_b >= bar)
     print(json.dumps(doc, indent=2))
     return EX_STUCK if isinstance(w, Stuck) else EX_OK
 
@@ -231,16 +214,9 @@ def _parse_legs(text: str) -> Tuple[Tuple[int, int], ...]:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    spec = GenSpec(
-        model=args.model,
-        n=args.n,
-        probability=parse_rational(args.probability) if args.probability else None,
-        degree=args.degree,
-        girth=args.girth,
-        spine=args.spine,
-        legs=_parse_legs(args.legs) if args.legs else (),
-        seed=args.seed,
-    )
+    # from_document reads the spec's fields among the flags and ignores the rest
+    legs = _parse_legs(args.legs) if args.legs else ()
+    spec = GenSpec.from_document({**vars(args), "probability": args.probability or None, "legs": legs})
     sys.stdout.write(serialize_edge_list(generate(spec)))
     return EX_OK
 
@@ -249,10 +225,8 @@ def _tree_from_value(value) -> CaterpillarTree:
     if isinstance(value, str):
         return _load_tree(value)
     if isinstance(value, dict):
-        spec = GenSpec(
-            model="caterpillar_subdivision",
-            spine=value.get("spine"),
-            legs=tuple((int(a), int(b)) for a, b in value.get("legs", [])),
+        spec = GenSpec.from_document(
+            {"model": "caterpillar_subdivision", "spine": value.get("spine"), "legs": value.get("legs", [])}
         )
         return CaterpillarTree(generate(spec))
     raise ValueError("tree must be a file path or {spine, legs}")
@@ -323,10 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     x.add_argument("--graph", required=True)
     x.add_argument("--tree", required=True)
     engine_flags(x, epsilon_required=True)
-    x.set_defaults(func=_cmd_chi_split)
+    x.set_defaults(func=_cmd_chi_split, mass="chromatic", trace=False, x1_seed=None)
 
     g = sub.add_parser("gen", help="emit a generated graph as an edge list")
-    g.add_argument("--model", required=True, choices=("gnp", "regular", "high_girth", "caterpillar_subdivision"))
+    g.add_argument("--model", required=True, choices=MODELS)
     g.add_argument("--n", type=int, default=0)
     g.add_argument("--probability", help="edge probability as p/q")
     g.add_argument("--degree", type=int)

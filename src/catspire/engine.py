@@ -80,9 +80,17 @@ def paper_p(tau: int) -> int:
     return 1 << (tau * tau)
 
 
+# The largest tau whose proven epsilon is built: at 5 its denominator has 2^25 bits.
+PAPER_TAU_MAX = 4
+
+
 def paper_epsilon(tau: int) -> Fraction:
     """The proven constant: the largest feasible epsilon at p = paper_p(tau)."""
-    return max_feasible_epsilon(paper_p(tau), tau)
+    p = paper_p(tau)
+    if tau > PAPER_TAU_MAX:
+        raise ValueError(f"the proven epsilon at tau={tau} has a 2^{tau * tau}-bit "
+                         "denominator; give epsilon and p explicitly")
+    return max_feasible_epsilon(p, tau)
 
 
 def max_feasible_epsilon(p: int, tau: int) -> Fraction:
@@ -93,14 +101,17 @@ def max_feasible_epsilon(p: int, tau: int) -> Fraction:
 class EngineParams:
     """tau, epsilon, p, with the kappa schedule and the guarantee flag.
 
-    epsilon and p default to the proven constants for the given tau.
+    epsilon defaults to paper_epsilon(tau), up to tau = PAPER_TAU_MAX.  p
+    defaults to the largest p >= 2 whose schedule is feasible at epsilon, or
+    2 when none is, so that an oversized epsilon still runs and can report
+    Stuck; at the proven epsilon that is the proven p = 2^(tau^2).
     kappa(i) is computed at the step that reads it: at the proven constants
-    p is 2^(tau^2) and each entry carries a p-bit denominator.  kappa
-    decreases in i, so the schedule is feasible exactly when kappa(p) >=
-    epsilon, that is epsilon <= max_feasible_epsilon(p, tau).  Construction
-    does not check that: run_trichotomy does, after the axiom scan, because
-    several interesting oversized-epsilon runs have no feasible schedule at
-    all yet still terminate at the axiom stage.
+    each entry carries a p-bit denominator.  kappa decreases in i, so the
+    schedule is feasible exactly when kappa(p) >= epsilon, that is epsilon
+    <= max_feasible_epsilon(p, tau).  Construction does not check that:
+    run_trichotomy does, after the axiom scan, because several interesting
+    oversized-epsilon runs have no feasible schedule at all yet still
+    terminate at the axiom stage.
     """
 
     tau: int
@@ -110,14 +121,16 @@ class EngineParams:
     def __post_init__(self) -> None:
         if self.tau < 3:
             raise ValueError("tau must be at least 3")
-        if self.epsilon is None:
-            object.__setattr__(self, "epsilon", paper_epsilon(self.tau))
-        else:
-            object.__setattr__(self, "epsilon", Fraction(self.epsilon))
-        if self.p is None:
-            object.__setattr__(self, "p", paper_p(self.tau))
-        if self.epsilon <= 0:
+        eps = paper_epsilon(self.tau) if self.epsilon is None else Fraction(self.epsilon)
+        object.__setattr__(self, "epsilon", eps)
+        if eps <= 0:
             raise ValueError("epsilon must be positive")
+        if self.p is None:
+            # feasibility at p needs a denominator of more than p bits, so
+            # the least infeasible p >= 3 lies within its bit length
+            first = least_reaching(lambda i: eps > max_feasible_epsilon(i + 3, self.tau),
+                                   eps.denominator.bit_length())
+            object.__setattr__(self, "p", first + 2)
         if self.p < 2:
             raise ValueError("p must be at least 2")
 
@@ -129,8 +142,11 @@ class EngineParams:
 
     @property
     def guarantee(self) -> bool:
-        # p first: paper_epsilon(tau) has a 2^(tau^2)-bit denominator, 8 GiB at tau = 6
-        return self.p >= paper_p(self.tau) and self.epsilon <= paper_epsilon(self.tau)
+        # epsilon meets a bound at p only with a denominator of more than p bits
+        proven_p = paper_p(self.tau)
+        if self.p < proven_p or self.epsilon.denominator.bit_length() <= proven_p:
+            return False
+        return self.epsilon <= max_feasible_epsilon(proven_p, self.tau)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -30,16 +30,12 @@ class MassProvider:
     notice; verify_mass_axioms checks it.
     """
 
-    kind: str
-
     def mass(self, x: VertexSet) -> Fraction:
         raise NotImplementedError
 
 
 class CardinalityMass(MassProvider):
     """mass(X) = |X| / n."""
-
-    kind = "cardinality"
 
     def __init__(self, n: int) -> None:
         if n < 1:
@@ -66,8 +62,6 @@ class WeightedMass(MassProvider):
     units is below 2^63; above that total every sum walks the members in
     Python ints.
     """
-
-    kind = "weighted"
 
     def __init__(self, weights: Sequence[Fraction]) -> None:
         ws = [Fraction(w) for w in weights]
@@ -108,8 +102,6 @@ class ChromaticMass(MassProvider):
     Refuses ambient graphs above the size limit: exact coloring is
     exponential and honest failure beats silent approximation.
     """
-
-    kind = "chromatic"
 
     def __init__(self, g: Graph, limit: int = DEFAULT_CHROMATIC_LIMIT) -> None:
         if g.n < 1:

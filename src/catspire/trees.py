@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .graphs import Graph, is_connected, neighbours, shortest_path
+from .graphs import Graph, is_connected, neighbours
 
 
 def _is_tree(g: Graph) -> bool:

@@ -7,7 +7,9 @@ independent of the engine that produced the witness.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -67,18 +69,29 @@ def variant_tag(w: Witness) -> str:
 
 
 def format_rational(q: Fraction) -> str:
-    """Exact decimal-free rational string, e.g. '3/20' (integers print bare)."""
-    return str(q)
+    """Exact decimal-free rational string, e.g. '3/20' (integers print bare).
+
+    Decimal prints integers of any size, past str()'s digit limit.
+    """
+    text = str(Decimal(q.numerator))
+    return text if q.denominator == 1 else f"{text}/{Decimal(q.denominator)}"
+
+
+_RATIONAL = re.compile(r"([-+]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a 'p/q' or integer string; decimals are rejected."""
+    """Parse a 'p/q' or integer string of any size; decimals are rejected."""
     s = text.strip()
     if "." in s or "e" in s.lower():
         raise ValueError(f"rationals must be 'p/q' or integer strings, got {text!r}")
+    match = _RATIONAL.fullmatch(s)
+    if match is None:
+        raise ValueError(f"bad rational {text!r}: Invalid literal for Fraction: {s!r}")
+    num, den = match.groups()
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+    except ZeroDivisionError as exc:
         raise ValueError(f"bad rational {text!r}: {exc}") from None
 
 

@@ -478,7 +478,7 @@ def test_mass_axioms_exhaustively_and_sampled(capsys):
                   WeightedMass([Fraction((3 * v) % 7, 9) for v in range(g.n)]),
                   ChromaticMass(g)):
             rep = verify_mass_axioms(m, g)
-            assert rep.ok, (m.kind, rep.failure)
+            assert rep.ok, (type(m).__name__, rep.failure)
             exhaustive += rep.checks
 
     big = generate(GenSpec("regular", n=200, degree=3, seed=17))
@@ -487,7 +487,7 @@ def test_mass_axioms_exhaustively_and_sampled(capsys):
               WeightedMass([Fraction((7 * v) % 13 + (1 if v < 3 else 0), 4)
                             for v in range(200)])):
         rep = verify_mass_axioms(m, big, budget=10000, seed=3)
-        assert rep.ok, (m.kind, rep.failure)
+        assert rep.ok, (type(m).__name__, rep.failure)
         assert rep.checks >= 20000
         sampled += rep.checks
     _report(capsys, "mass-axioms", True,

@@ -8,7 +8,8 @@ import pytest
 from catspire.cli import main
 from catspire.engine import TheoremViolation, paper_epsilon
 from catspire.formats import serialize_edge_list
-from catspire.witnesses import format_rational
+from catspire.graphs import VertexSet
+from catspire.witnesses import AnticompletePair, format_rational, parse_rational
 from helpers import cycle_graph, disjoint_union, hook_graph, path_graph, petersen_graph
 
 
@@ -142,6 +143,47 @@ def test_fit_tau_and_epsilon_commands(tmp_path, capsys, hook_file):
     }
 
 
+def test_epsilon_at_tau_4_prints_every_digit(capsys):
+    # the denominator has 19,734 digits, past the default int-to-str limit
+    assert main(["epsilon", "--tau", "4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["tau"], doc["p"]) == (4, 65536)
+    assert parse_rational(doc["epsilon"]) == paper_epsilon(4)
+
+
+def test_certify_verify_round_trip_at_tau_4_defaults(tmp_path, capsys):
+    g = _graph_file(tmp_path, "g.txt", path_graph(6))
+    p4 = _graph_file(tmp_path, "p4.txt", path_graph(4))
+    assert main(["certify", "--graph", g, "--tree", p4]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["variant"] == "high-mass-vertex"
+    assert doc["parameters"]["p"] == 65536 and doc["parameters"]["guarantee"] is True
+    assert parse_rational(doc["parameters"]["epsilon"]) == paper_epsilon(4)
+    witness = _write(tmp_path, "w.json", json.dumps(doc))
+    assert main(["verify", "--graph", g, "--tree", p4, "--witness", witness,
+                 "--epsilon", doc["parameters"]["epsilon"]]) == 0
+    assert json.loads(capsys.readouterr().out) == {"verdict": "pass", "problems": []}
+
+
+def test_proven_constants_refused_at_tau_5(tmp_path, capsys):
+    assert main(["epsilon", "--tau", "5"]) == 64
+    assert "2^25-bit denominator; give epsilon and p explicitly" in capsys.readouterr().err
+    g = _graph_file(tmp_path, "g.txt", path_graph(6))
+    p5 = _graph_file(tmp_path, "p5.txt", path_graph(5))
+    assert main(["certify", "--graph", g, "--tree", p5]) == 64
+    assert "2^25-bit denominator" in capsys.readouterr().err
+    assert main(["certify", "--graph", g, "--tree", p5, "--epsilon", "1/10", "--p", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["parameters"] == {"tau": 5, "epsilon": "1/10", "p": 2, "guarantee": False}
+
+
+def test_certify_rejects_nonpositive_epsilon(tmp_path, capsys, hook_file):
+    g = _graph_file(tmp_path, "g.txt", path_graph(6))
+    for flag in ("--epsilon=0", "--epsilon=-1/2"):
+        assert main(["certify", "--graph", g, "--tree", hook_file, flag]) == 64
+        assert "epsilon must be positive" in capsys.readouterr().err
+
+
 def test_oracle_commands(tmp_path, capsys):
     p5 = _graph_file(tmp_path, "p5.txt", path_graph(5))
     p3 = _graph_file(tmp_path, "p3.txt", path_graph(3))
@@ -179,6 +221,37 @@ def test_chi_split_on_two_cycles(tmp_path, capsys, hook_file):
     assert doc["chi_g"] == 3
     assert doc["epsilon_chi_g"] == "1"
     assert doc["witness"]["variant"] == "high-mass-vertex"
+
+
+def test_chi_split_reads_side_chi_from_the_mass(tmp_path, capsys, monkeypatch, hook_file):
+    # Under the 64-vertex chromatic limit the vertex axiom preempts every
+    # pair, so the engine is stood in for by one that returns the two cycles.
+    g = _graph_file(tmp_path, "g.txt", disjoint_union(cycle_graph(5), cycle_graph(5)))
+    pair = AnticompletePair(VertexSet(range(5)), VertexSet(range(5, 10)))
+    monkeypatch.setattr("catspire.cli.run_trichotomy", lambda *args, **kwargs: pair)
+
+    def no_second_colouring(*args, **kwargs):
+        raise AssertionError("chi-split coloured a side again")
+
+    monkeypatch.setattr("catspire.cli.exact_chromatic_number", no_second_colouring)
+    argv = ["chi-split", "--graph", g, "--tree", hook_file, "--epsilon", "1/3", "--p", "2"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {
+        "witness": {
+            "variant": "anticomplete-pair",
+            "a": [0, 1, 2, 3, 4],
+            "b": [5, 6, 7, 8, 9],
+            "masses": {"a": "1", "b": "1"},
+            "parameters": {"tau": 3, "epsilon": "1/3", "p": 2, "guarantee": False},
+            "verdict": "pass",
+        },
+        "chi_g": 3,
+        "epsilon_chi_g": "1",
+        "chi_a": 3,
+        "chi_b": 3,
+        "bound_holds": True,
+    }
 
 
 def test_gen_commands(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Engine stages: schedule, pieces, spires, realizations, merges, extraction."""
 
+import tracemalloc
 from fractions import Fraction
 
 import dataclasses
@@ -23,6 +24,7 @@ from catspire.engine import (
     initial_blocks,
     max_feasible_epsilon,
     paper_epsilon,
+    paper_p,
     restrict,
     run_trichotomy,
     validate_spire,
@@ -119,6 +121,64 @@ def test_engine_params_errors():
         EngineParams(3, Fraction(-1, 4))
     with pytest.raises(ValueError, match="p must be at least 2"):
         EngineParams(3, Fraction(1, 48), 1)
+
+
+def _searched_p(eps, tau):
+    """The p rule as a walk: from 2 upward while the next p stays feasible."""
+    p = 2
+    while eps <= max_feasible_epsilon(p + 1, tau):
+        p += 1
+    return p
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    tau=st.integers(3, 6),
+    p=st.integers(2, 40),
+    numerator=st.integers(1, 3),
+    step=st.sampled_from([-1, 0, 1]),
+)
+def test_default_p_is_the_largest_feasible(tau, p, numerator, step):
+    bound = max_feasible_epsilon(p, tau)
+    eps = Fraction(numerator, numerator * bound.denominator + step)
+    params = EngineParams(tau, eps)
+    assert params.p == _searched_p(eps, tau)
+    # a denominator one short of the bound's is infeasible at p
+    assert params.p == max(2, p - (step < 0))
+
+
+def test_default_p_at_the_proven_epsilon_and_above_every_bound():
+    for tau in (3, 4):
+        params = EngineParams(tau)
+        assert (params.p, params.epsilon) == (paper_p(tau), paper_epsilon(tau))
+        assert EngineParams(tau, paper_epsilon(tau)).p == paper_p(tau)
+    assert EngineParams(3).p == 512 and EngineParams(4).p == 65536
+    # no p is feasible: floored at 2 so that the run can report Stuck
+    assert EngineParams(3, Fraction(1, 47)).p == 2
+    assert EngineParams(3, Fraction(5, 2)).p == 2
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        EngineParams(3, Fraction(0))
+
+
+def test_proven_constants_refused_above_tau_4():
+    message = r"2\^25-bit denominator; give epsilon and p explicitly"
+    with pytest.raises(ValueError, match=message):
+        paper_epsilon(5)
+    with pytest.raises(ValueError, match=message):
+        EngineParams(5)
+    with pytest.raises(ValueError, match=message):
+        EngineParams(5, None, 8)
+    explicit = EngineParams(5, Fraction(1, 10), 2)
+    assert (explicit.p, explicit.kappa(2)) == (2, Fraction(1, 8) - Fraction(7, 10))
+    proven_p = paper_p(5)
+    tracemalloc.start()
+    try:
+        assert not explicit.guarantee
+        assert not EngineParams(5, Fraction(1, 10), proven_p).guarantee
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    assert EngineParams(5, max_feasible_epsilon(proven_p, 5), proven_p).guarantee
 
 
 # ------------------------------------------------------------------ spires

@@ -1,6 +1,11 @@
 """Bitmask vertex sets, graphs, and the elementary predicates."""
 
+import random
+
+import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from catspire.graphs import (
     Graph,
@@ -167,3 +172,58 @@ def test_shortest_path_frozen():
     assert shortest_path(path_graph(5), 3, 3) == (3,)
     forest = Graph(4, [(0, 1), (2, 3)])
     assert shortest_path(forest, 0, 3) is None
+
+
+# ------------------------------------------------- networkx cross-check
+
+
+@st.composite
+def graph_with_set(draw):
+    """A seeded sparse graph on n <= 100 vertices and a vertex subset whose
+    size falls on either side of 32 members."""
+    n = draw(st.integers(1, 100))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    degree = draw(st.sampled_from([0.5, 1, 2, 4]))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < degree / n]
+    small = st.integers(0, min(n, 31))
+    size = draw(st.one_of(small, st.integers(32, n)) if n >= 32 else small)
+    return n, edges, rng.sample(range(n), size)
+
+
+def _nx_graph(n, edges):
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(edges)
+    return h
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(graph_with_set())
+def test_graph_kernel_matches_networkx(case):
+    n, edges, members = case
+    g, h = Graph(n, edges), _nx_graph(n, edges)
+    x = VertexSet(members)
+    assert g.edges() == sorted(edges)
+    assert list(x) == sorted(members) and len(x) == len(members)
+
+    induced = h.subgraph(members)
+    expected = sorted(nx.connected_components(induced), key=lambda c: (-len(c), min(c)))
+    got = components(g, x)
+    assert got == [VertexSet(c) for c in expected]
+
+    for comp in got:
+        start = max(comp)
+        order = connected_order(g, comp, start)
+        dist = nx.single_source_shortest_path_length(h.subgraph(comp.members()), start)
+        assert order == sorted(comp, key=lambda v: (dist[v], v))
+        for k in range(1, len(order) + 1):
+            assert nx.is_connected(h.subgraph(order[:k]))
+
+    for a, b in zip(members, reversed(members)):
+        path = shortest_path(g, a, b, x.mask)
+        if not nx.has_path(induced, a, b):
+            assert path is None
+            continue
+        assert len(path) - 1 == nx.shortest_path_length(induced, a, b)
+        assert (path[0], path[-1]) == (a, b) and set(path) <= set(members)
+        assert all(g.has_edge(u, v) for u, v in zip(path, path[1:]))

@@ -22,7 +22,6 @@ def test_cardinality_mass():
     assert m.mass(VertexSet([1, 4, 7])) == Fraction(3, 10)
     assert m.mass(VertexSet()) == 0
     assert m.mass(VertexSet(range(10))) == 1
-    assert m.kind == "cardinality"
     with pytest.raises(ValueError, match="at least one vertex"):
         CardinalityMass(0)
 
@@ -127,8 +126,6 @@ def test_axioms_pass_sampled():
 class _Squared(MassProvider):
     """Deliberately broken: |X|^2/n^2 is not subadditive."""
 
-    kind = "weighted"
-
     def __init__(self, n: int) -> None:
         self.n = n
 
@@ -137,8 +134,6 @@ class _Squared(MassProvider):
 
 
 class _Shifted(MassProvider):
-    kind = "weighted"
-
     def __init__(self, n: int) -> None:
         self.n = n
 

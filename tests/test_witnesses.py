@@ -44,6 +44,20 @@ def test_parse_rational():
             parse_rational(bad)
 
 
+def test_rationals_past_the_int_string_limit():
+    # 5001 and 6001 digits, above the default limit of 4300 for str(int)
+    big, bigger = 10**5000 + 1, 10**6000 + 3
+    for q, text in (
+        (Fraction(-big), "-1" + "0" * 4999 + "1"),
+        (Fraction(3, big), "3/1" + "0" * 4999 + "1"),
+        (Fraction(bigger, big), "1" + "0" * 5999 + "3/1" + "0" * 4999 + "1"),
+    ):
+        assert format_rational(q) == text
+        assert parse_rational(text) == q
+    with pytest.raises(ValueError, match="bad rational"):
+        parse_rational("1/" + "0" * 5000)
+
+
 def test_stuck_diagnostics_sorted():
     s = Stuck.make("blocked", {"b": 2, "a": 1})
     assert s.diagnostics == (("a", 1), ("b", 2))
