@@ -5,7 +5,6 @@ the target tree, and every returned witness is re-verified from scratch."""
 
 from .engine import (
     EngineParams,
-    EngineStuck,
     Realization,
     Spire,
     TheoremViolation,
@@ -71,7 +70,6 @@ __all__ = [
     "ChromaticMass",
     "Chrysalis",
     "EngineParams",
-    "EngineStuck",
     "Graph",
     "HighMassNeighbourhood",
     "HighMassVertex",

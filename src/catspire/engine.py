@@ -11,7 +11,9 @@ blocks, realize a nursery of p isolated heads, improve it p-1 times while
 the kappa schedule decays, and extract the target from a butterfly
 realization.  Anticomplete pairs fall out of the two places the argument
 leans on the no-anticomplete-pair axiom: big-piece selection and the
-connected-cover step inside improve.
+connected-cover step inside improve.  Each stage returns either what it
+builds or the outcome that ends the run there, an AnticompletePair or a
+Stuck, and run_trichotomy verifies or reports that outcome.
 
 Every mass comparison is exact rational arithmetic.  Masses of unions are
 always recomputed from the set, never updated incrementally: subadditivity
@@ -58,15 +60,6 @@ from .witnesses import (
 )
 
 log = logging.getLogger(__name__)
-
-
-class EngineStuck(RuntimeError):
-    """Internal dead end, possible only when the parameters are off-guarantee."""
-
-    def __init__(self, stage: str, diagnostics: Optional[Dict[str, str]] = None) -> None:
-        self.stage = stage
-        self.diagnostics = dict(diagnostics or {})
-        super().__init__(f"{stage}: {self.diagnostics}")
 
 
 class TheoremViolation(RuntimeError):
@@ -147,17 +140,6 @@ class EngineParams:
         if self.p < proven_p or self.epsilon.denominator.bit_length() <= proven_p:
             return False
         return self.epsilon <= max_feasible_epsilon(proven_p, self.tau)
-
-
-@dataclass(frozen=True)
-class Piece:
-    vertices: VertexSet
-
-
-@dataclass(frozen=True)
-class Pair:
-    a: VertexSet
-    b: VertexSet
 
 
 @dataclass(frozen=True)
@@ -249,7 +231,9 @@ def _prefix_unions(parts: Sequence[int]) -> Callable[[int], int]:
     return union
 
 
-def big_piece(g: Graph, m: MassProvider, x: VertexSet, epsilon: Fraction) -> Union[Piece, Pair]:
+def big_piece(
+    g: Graph, m: MassProvider, x: VertexSet, epsilon: Fraction
+) -> Union[VertexSet, AnticompletePair]:
     """The unique component of mass > mass(x) - epsilon, or an anticomplete pair.
 
     Components are taken in the canonical order (descending size, ties by
@@ -269,12 +253,12 @@ def big_piece(g: Graph, m: MassProvider, x: VertexSet, epsilon: Fraction) -> Uni
     prefix = VertexSet.from_mask(acc)
     suffix = VertexSet.from_mask(x.mask & ~acc)
     if m.mass(suffix) >= epsilon:
-        return Pair(prefix, suffix)
+        return AnticompletePair(prefix, suffix)
     pivot = comps[idx]
     rest = VertexSet.from_mask(x.mask & ~pivot.mask)
     if m.mass(rest) >= epsilon:
-        return Pair(pivot, rest)
-    return Piece(pivot)
+        return AnticompletePair(pivot, rest)
+    return pivot
 
 
 def grow_spire(
@@ -284,24 +268,24 @@ def grow_spire(
     tau: int,
     epsilon: Fraction,
     x1_rng=None,
-) -> Union[Spire, Pair]:
+) -> Union[Spire, AnticompletePair, Stuck]:
     """Grow a tau-spire in x, or surface an anticomplete pair while trying.
 
     x_1 is the least vertex of the first big piece (or a random member when
     x1_rng is given); each x_{i+1} is the least neighbour of x_i inside the
     current big piece that can see the next one.  Under the small-vertex and
     small-neighbourhood axioms the construction cannot get stuck and the
-    final reservoir keeps mass >= mass(x) - tau*epsilon.
+    final reservoir keeps mass >= mass(x) - tau*epsilon; without them it
+    can, and returns a spire-blocked Stuck.
     """
     if tau < 3:
         raise ValueError("tau must be at least 3")
     if m.mass(x) < (tau + 2) * epsilon:
         raise ValueError("grow_spire needs mass(x) >= (tau+2)*epsilon")
 
-    first = big_piece(g, m, x, epsilon)
-    if isinstance(first, Pair):
-        return first
-    z_cur = first.vertices
+    z_cur = big_piece(g, m, x, epsilon)
+    if isinstance(z_cur, AnticompletePair):
+        return z_cur
     if x1_rng is not None:
         x1 = x1_rng.choice(z_cur.members())
     else:
@@ -313,7 +297,7 @@ def grow_spire(
         removed |= g.adj(xs[-1])
         y = VertexSet.from_mask(x.mask & ~removed)
         if m.mass(y) < 3 * epsilon:
-            raise EngineStuck(
+            return Stuck.make(
                 "spire-blocked",
                 {
                     "reason": "remaining mass below 3*epsilon",
@@ -321,10 +305,9 @@ def grow_spire(
                     "remaining_mass": format_rational(m.mass(y)),
                 },
             )
-        nxt = big_piece(g, m, y, epsilon)
-        if isinstance(nxt, Pair):
-            return nxt
-        z_next = nxt.vertices
+        z_next = big_piece(g, m, y, epsilon)
+        if isinstance(z_next, AnticompletePair):
+            return z_next
         cand = None
         scan = g.adj(xs[-1]) & z_cur.mask
         while scan:
@@ -335,7 +318,7 @@ def grow_spire(
                 break
             scan ^= low
         if cand is None:
-            raise EngineStuck(
+            return Stuck.make(
                 "spire-blocked",
                 {
                     "reason": "no continuation vertex into the next big piece",
@@ -350,9 +333,10 @@ def grow_spire(
 
 def initial_blocks(
     g: Graph, m: MassProvider, kappa0: Fraction, epsilon: Fraction, p: int
-) -> List[VertexSet]:
+) -> Union[List[VertexSet], Stuck]:
     """Greedy p disjoint blocks, each the least id-prefix of mass >= kappa0
-    among the ids left after the previous block, found by search.
+    among the ids left after the previous block, found by search, or an
+    insufficient-blocks Stuck when the ids run out first.
 
     The caller has already ruled out vertices of mass >= epsilon, so each
     block's mass sits in [kappa0, kappa0 + epsilon) by subadditivity, the
@@ -372,7 +356,7 @@ def initial_blocks(
         start += end + 1
         if len(blocks) == p:
             return blocks
-    raise EngineStuck(
+    return Stuck.make(
         "insufficient-blocks",
         {
             "blocks_found": str(len(blocks)),
@@ -532,7 +516,7 @@ def improve(
     kappa_next: Fraction,
     epsilon: Fraction,
     x1_rng=None,
-) -> Union[Tuple[Nursery, Realization], Pair]:
+) -> Union[Tuple[Nursery, Realization], AnticompletePair, Stuck]:
     """One merge step: components drop by one, potential does not drop.
 
     Grows a spire in the chosen head class, shaves every other head class
@@ -541,7 +525,8 @@ def improve(
     (_first_cover), whose neighbours nearly cover some shaved class.  The
     covered class becomes the new head class; the spire path and the
     reservoir prefix become the class of the merged vertex.  Failure to
-    cover anything is itself a verified anticomplete pair.
+    cover anything is itself an anticomplete pair; a pair or Stuck from the
+    spire is returned as it is.
     """
     nursery = r.nursery
     comps = nursery.components
@@ -564,7 +549,7 @@ def improve(
     heads = [c.head for c in comps]
     x_hi = r.assignment[heads[i]]
     if m.mass(x_hi) < (tau + 2) * epsilon:
-        raise EngineStuck(
+        return Stuck.make(
             "spire-blocked",
             {
                 "reason": "chosen head class too light to grow a spire",
@@ -573,7 +558,7 @@ def improve(
             },
         )
     grown = grow_spire(g, m, x_hi, tau, epsilon, x1_rng=x1_rng)
-    if isinstance(grown, Pair):
+    if not isinstance(grown, Spire):
         return grown
 
     xs_reach = neighbour_mask(g, VertexSet(grown.xs).mask)
@@ -585,7 +570,7 @@ def improve(
     steps, j, covered_reach = _first_cover(g, m, z_order, shaved, kappa_next + epsilon)
     if j is None:
         j = min(shaved)
-        return Pair(grown.z, VertexSet.from_mask(shaved[j] & ~covered_reach))
+        return AnticompletePair(grown.z, VertexSet.from_mask(shaved[j] & ~covered_reach))
 
     if steps == 1:
         # the shaved classes exclude all neighbours of x_tau = z_1, so a hit
@@ -737,7 +722,7 @@ def run_trichotomy(
         note("verified", variant=type(w).__name__)
         return w
 
-    def stuck(stage: str, diagnostics: Dict[str, str]) -> Witness:
+    def stuck(stage: str, diagnostics: Dict[str, object]) -> Witness:
         if params.guarantee:
             raise TheoremViolation(f"engine stuck at {stage} despite guaranteed parameters")
         note("stuck", at=stage)
@@ -764,10 +749,9 @@ def run_trichotomy(
         )
 
     kappa0 = params.kappa(0)
-    try:
-        blocks = initial_blocks(g, m, kappa0, eps, params.p)
-    except EngineStuck as ex:
-        return stuck(ex.stage, ex.diagnostics)
+    blocks = initial_blocks(g, m, kappa0, eps, params.p)
+    if isinstance(blocks, Stuck):
+        return stuck(blocks.stage, blocks.diag_dict())
     note("blocks", count=len(blocks), kappa0=format_rational(kappa0))
 
     nursery = Nursery(params.tau, [Chrysalis(params.tau, h, {}) for h in range(params.p)])
@@ -787,13 +771,12 @@ def run_trichotomy(
                 return finish(InducedCopy(extract_copy(g, sub, t, m=m)))
         if step == params.p:
             break
-        try:
-            outcome = improve(g, m, r, params.kappa(step), eps, x1_rng=x1_rng)
-        except EngineStuck as ex:
-            return stuck(ex.stage, {**ex.diagnostics, "improvement": str(step)})
-        if isinstance(outcome, Pair):
+        outcome = improve(g, m, r, params.kappa(step), eps, x1_rng=x1_rng)
+        if isinstance(outcome, Stuck):
+            return stuck(outcome.stage, {**outcome.diag_dict(), "improvement": str(step)})
+        if isinstance(outcome, AnticompletePair):
             note("anticomplete", improvements=step - 1)
-            return finish(AnticompletePair(outcome.a, outcome.b))
+            return finish(outcome)
         old = r.nursery
         nursery, r = outcome
         if not is_improvement(nursery, old):

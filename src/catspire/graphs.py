@@ -117,7 +117,7 @@ class Graph:
         return self._adj[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and (self._adj[u] >> v) & 1 == 1
+        return 0 <= u < self.n and 0 <= v < self.n and (self._adj[u] >> v) & 1 == 1
 
     def vertices(self) -> VertexSet:
         return VertexSet.from_mask((1 << self.n) - 1 if self.n else 0)

@@ -147,35 +147,23 @@ def _generate_regular(rng: np.random.Generator, n: int, d: int) -> Graph:
         return Graph(n)
     stubs = np.repeat(np.arange(n), d)
     for _ in range(_PAIRING_RETRIES):
-        perm = rng.permutation(n * d)
-        paired = stubs[perm].reshape(-1, 2)
-        seen = set()
-        ok = True
-        for a, b in paired:
-            u, v = int(a), int(b)
-            if u == v:
-                ok = False
-                break
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                ok = False
-                break
-            seen.add(key)
-        if ok:
-            return Graph(n, sorted(seen))
+        pairs = np.sort(stubs[rng.permutation(n * d)].reshape(-1, 2), axis=1)
+        # simple exactly when no pair is a loop and no two pairs coincide
+        keys = np.sort(pairs[:, 0] * n + pairs[:, 1])
+        if (pairs[:, 0] < pairs[:, 1]).all() and (keys[1:] > keys[:-1]).all():
+            return Graph(n, pairs.tolist())
     raise ValueError(
         f"pairing model failed to produce a simple {d}-regular graph on {n} "
         f"vertices after {_PAIRING_RETRIES} attempts"
     )
 
 
-def _short_cycle_edge(adj: List[int], bound: int) -> Optional[Tuple[int, int, int]]:
+def _short_cycle_edge(g: Graph, bound: int) -> Optional[Tuple[int, int, int]]:
     """(length, u, w) for a shortest cycle when below bound, scanning roots
     ascending; (u, w) is the closing edge found first at that length."""
-    n = len(adj)
     best: Optional[Tuple[int, int, int]] = None
     radius = (bound - 1) // 2 + 1
-    for root in range(n):
+    for root in range(g.n):
         dist = {root: 0}
         parent = {root: root}
         frontier = [root]
@@ -183,7 +171,7 @@ def _short_cycle_edge(adj: List[int], bound: int) -> Optional[Tuple[int, int, in
         while frontier and depth < radius:
             nxt: List[int] = []
             for u in frontier:
-                scan = adj[u]
+                scan = g.adj(u)
                 while scan:
                     low = scan & -scan
                     w = low.bit_length() - 1
@@ -206,25 +194,15 @@ def _short_cycle_edge(adj: List[int], bound: int) -> Optional[Tuple[int, int, in
 def _generate_high_girth(
     rng: np.random.Generator, n: int, prob: Fraction, girth: int
 ) -> Graph:
-    adj = [0] * n
-    for u, v in _gnp_edges(rng, n, prob):
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    # drop the closing edge of a shortest short cycle until none is left
+    edges = set(_gnp_edges(rng, n, prob))
     while True:
-        hit = _short_cycle_edge(adj, girth)
+        g = Graph(n, edges)
+        hit = _short_cycle_edge(g, girth)
         if hit is None:
-            break
+            return g
         _, u, w = hit
-        adj[u] &= ~(1 << w)
-        adj[w] &= ~(1 << u)
-    edges = []
-    for u in range(n):
-        higher = adj[u] >> (u + 1)
-        while higher:
-            low = higher & -higher
-            edges.append((u, u + 1 + low.bit_length() - 1))
-            higher ^= low
-    return Graph(n, edges)
+        edges.remove((min(u, w), max(u, w)))
 
 
 def _generate_caterpillar(spine: int, legs: Sequence[Tuple[int, int]]) -> Graph:

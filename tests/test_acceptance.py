@@ -19,9 +19,6 @@ import networkx as nx
 
 from catspire.engine import (
     EngineParams,
-    EngineStuck,
-    Pair,
-    Piece,
     Realization,
     Spire,
     big_piece,
@@ -310,9 +307,9 @@ def test_unit_step_invariants_on_randomized_inputs(capsys):
             continue
         eps = total / rng.randint(3, 24)
         out = big_piece(g, m, x, eps)
-        if isinstance(out, Piece):
+        if isinstance(out, VertexSet):
             piece_kinds["piece"] += 1
-            y = out.vertices
+            y = out
             assert y.issubset(x) and is_connected(g, y)
             assert m.mass(y) > total - eps
             rest = x.mask & ~y.mask
@@ -336,10 +333,8 @@ def test_unit_step_invariants_on_randomized_inputs(capsys):
             continue
         eps = total / ((tau + 2) + rng.randint(0, 30))
         ax = _axioms_hold(g, m, eps)
-        try:
-            out = grow_spire(g, m, x, tau, eps,
-                             x1_rng=rng if rng.randrange(2) else None)
-        except EngineStuck:
+        out = grow_spire(g, m, x, tau, eps, x1_rng=rng if rng.randrange(2) else None)
+        if isinstance(out, Stuck):
             spire_kinds["stuck"] += 1
             assert not ax, "grow_spire got stuck with both axioms holding"
             continue
@@ -369,14 +364,12 @@ def test_unit_step_invariants_on_randomized_inputs(capsys):
         ax = _axioms_hold(g, m, eps)
         before = r.nursery
         calls += 1
-        try:
-            out = improve(g, m, r, kappa_next, eps,
-                          x1_rng=rng if flavor == 2 else None)
-        except EngineStuck:
+        out = improve(g, m, r, kappa_next, eps, x1_rng=rng if flavor == 2 else None)
+        if isinstance(out, Stuck):
             improve_kinds["stuck"] += 1
             assert not ax, "improve got stuck with both axioms holding"
             continue
-        if isinstance(out, Pair):
+        if isinstance(out, AnticompletePair):
             improve_kinds["pair"] += 1
             assert out.a and out.b
             assert out.a.mask & out.b.mask == 0

@@ -8,8 +8,7 @@ import pytest
 from catspire.cli import main
 from catspire.engine import TheoremViolation, paper_epsilon
 from catspire.formats import serialize_edge_list
-from catspire.graphs import VertexSet
-from catspire.witnesses import AnticompletePair, format_rational, parse_rational
+from catspire.witnesses import format_rational, parse_rational
 from helpers import cycle_graph, disjoint_union, hook_graph, path_graph, petersen_graph
 
 
@@ -221,37 +220,6 @@ def test_chi_split_on_two_cycles(tmp_path, capsys, hook_file):
     assert doc["chi_g"] == 3
     assert doc["epsilon_chi_g"] == "1"
     assert doc["witness"]["variant"] == "high-mass-vertex"
-
-
-def test_chi_split_reads_side_chi_from_the_mass(tmp_path, capsys, monkeypatch, hook_file):
-    # Under the 64-vertex chromatic limit the vertex axiom preempts every
-    # pair, so the engine is stood in for by one that returns the two cycles.
-    g = _graph_file(tmp_path, "g.txt", disjoint_union(cycle_graph(5), cycle_graph(5)))
-    pair = AnticompletePair(VertexSet(range(5)), VertexSet(range(5, 10)))
-    monkeypatch.setattr("catspire.cli.run_trichotomy", lambda *args, **kwargs: pair)
-
-    def no_second_colouring(*args, **kwargs):
-        raise AssertionError("chi-split coloured a side again")
-
-    monkeypatch.setattr("catspire.cli.exact_chromatic_number", no_second_colouring)
-    argv = ["chi-split", "--graph", g, "--tree", hook_file, "--epsilon", "1/3", "--p", "2"]
-    assert main(argv) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc == {
-        "witness": {
-            "variant": "anticomplete-pair",
-            "a": [0, 1, 2, 3, 4],
-            "b": [5, 6, 7, 8, 9],
-            "masses": {"a": "1", "b": "1"},
-            "parameters": {"tau": 3, "epsilon": "1/3", "p": 2, "guarantee": False},
-            "verdict": "pass",
-        },
-        "chi_g": 3,
-        "epsilon_chi_g": "1",
-        "chi_a": 3,
-        "chi_b": 3,
-        "bound_holds": True,
-    }
 
 
 def test_gen_commands(tmp_path, capsys):

@@ -10,9 +10,6 @@ from hypothesis import strategies as st
 
 from catspire.engine import (
     EngineParams,
-    EngineStuck,
-    Pair,
-    Piece,
     Realization,
     Spire,
     TheoremViolation,
@@ -234,19 +231,19 @@ def test_big_piece_precondition():
 def test_big_piece_single_component():
     g = path_graph(6)
     out = big_piece(g, CardinalityMass(6), VertexSet(range(6)), Fraction(1, 6))
-    assert out == Piece(VertexSet(range(6)))
+    assert out == VertexSet(range(6))
 
 
 def test_big_piece_absorbs_small_leftover():
     g = disjoint_union(path_graph(19), path_graph(1))
     out = big_piece(g, CardinalityMass(20), VertexSet(range(20)), Fraction(1, 4))
-    assert out == Piece(VertexSet(range(19)))
+    assert out == VertexSet(range(19))
 
 
 def test_big_piece_splits_halves():
     g = disjoint_union(complete_graph(4), complete_graph(4))
     out = big_piece(g, CardinalityMass(8), VertexSet(range(8)), Fraction(1, 4))
-    assert out == Pair(VertexSet(range(4)), VertexSet(range(4, 8)))
+    assert out == AnticompletePair(VertexSet(range(4)), VertexSet(range(4, 8)))
 
 
 def test_big_piece_pivot_against_rest():
@@ -255,7 +252,7 @@ def test_big_piece_pivot_against_rest():
     g = Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (8, 9)])
     w = [Fraction(4, 100)] * 5 + [Fraction(20, 100)] * 3 + [Fraction(10, 100)] * 2
     out = big_piece(g, WeightedMass(w), VertexSet(range(10)), Fraction(1, 4))
-    assert out == Pair(VertexSet([5, 6, 7]), VertexSet([0, 1, 2, 3, 4, 8, 9]))
+    assert out == AnticompletePair(VertexSet([5, 6, 7]), VertexSet([0, 1, 2, 3, 4, 8, 9]))
 
 
 # ------------------------------------------------------------- spire growth
@@ -289,16 +286,16 @@ def test_grow_spire_stuck_on_clique():
     # One step of growth removes the whole clique; mass collapses below the
     # 3*epsilon floor and the engine must say so rather than guess.
     g = complete_graph(8)
-    with pytest.raises(EngineStuck) as exc:
-        grow_spire(g, CardinalityMass(8), VertexSet(range(8)), 3, Fraction(1, 10))
-    assert exc.value.stage == "spire-blocked"
-    assert exc.value.diagnostics["reason"] == "remaining mass below 3*epsilon"
+    out = grow_spire(g, CardinalityMass(8), VertexSet(range(8)), 3, Fraction(1, 10))
+    assert isinstance(out, Stuck)
+    assert out.stage == "spire-blocked"
+    assert out.diag_dict()["reason"] == "remaining mass below 3*epsilon"
 
 
 def test_grow_spire_surfaces_pair():
     g = disjoint_union(complete_graph(4), complete_graph(4))
     out = grow_spire(g, CardinalityMass(8), VertexSet(range(8)), 3, Fraction(1, 8))
-    assert out == Pair(VertexSet(range(4)), VertexSet(range(4, 8)))
+    assert out == AnticompletePair(VertexSet(range(4)), VertexSet(range(4, 8)))
 
 
 # ------------------------------------------------------------------ blocks
@@ -315,10 +312,10 @@ def test_initial_blocks_greedy_prefixes():
 
 def test_initial_blocks_stuck():
     g = Graph(100, [])
-    with pytest.raises(EngineStuck) as exc:
-        initial_blocks(g, CardinalityMass(100), Fraction(13, 100), Fraction(1, 100), 8)
-    assert exc.value.stage == "insufficient-blocks"
-    assert exc.value.diagnostics == {
+    out = initial_blocks(g, CardinalityMass(100), Fraction(13, 100), Fraction(1, 100), 8)
+    assert isinstance(out, Stuck)
+    assert out.stage == "insufficient-blocks"
+    assert out.diag_dict() == {
         "blocks_found": "7",
         "blocks_needed": "8",
         "kappa0": "13/100",
@@ -413,7 +410,7 @@ def test_improve_merges_two_blobs():
     g, m, r = _two_blob_fixture(cover=True)
     assert check_realization(g, m, r) == []
     out = improve(g, m, r, Fraction(3, 20), Fraction(1, 50))
-    assert not isinstance(out, Pair)
+    assert isinstance(out, tuple)
     nursery, r2 = out
     assert len(nursery) == 1
     merged = nursery.components[0]
@@ -430,7 +427,7 @@ def test_improve_merges_two_blobs():
 def test_improve_returns_pair_without_cover():
     g, m, r = _two_blob_fixture(cover=False)
     out = improve(g, m, r, Fraction(3, 20), Fraction(1, 50))
-    assert out == Pair(VertexSet(range(2, 50)), VertexSet(range(50, 100)))
+    assert out == AnticompletePair(VertexSet(range(2, 50)), VertexSet(range(50, 100)))
 
 
 def test_improve_preconditions():
@@ -452,10 +449,10 @@ def test_improve_stuck_on_light_head():
     g = path_graph(100)
     nursery = Nursery(3, (Chrysalis(3, 0, {}), Chrysalis(3, 1, {})), (0, 1))
     r = Realization(nursery, {0: VertexSet([0]), 1: VertexSet([1])}, {}, Fraction(1, 2))
-    with pytest.raises(EngineStuck) as exc:
-        improve(g, CardinalityMass(100), r, Fraction(1, 5), Fraction(1, 50))
-    assert exc.value.stage == "spire-blocked"
-    assert exc.value.diagnostics["reason"] == "chosen head class too light to grow a spire"
+    out = improve(g, CardinalityMass(100), r, Fraction(1, 5), Fraction(1, 50))
+    assert isinstance(out, Stuck)
+    assert out.stage == "spire-blocked"
+    assert out.diag_dict()["reason"] == "chosen head class too light to grow a spire"
 
 
 # -------------------------------------------------------------- extraction
@@ -569,6 +566,38 @@ def test_run_trichotomy_merges_then_sticks_at_phi():
         {"stage": "improved", "improvement": "1", "kappa": "7/48", "components": "1"},
         {"stage": "stuck", "at": "phi-contradiction"},
     ]
+
+
+class _SmallSetsLight:
+    """|X|/n from 38 members on and |X|/(10n) below: monotone, not subadditive."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def mass(self, x: VertexSet) -> Fraction:
+        k = len(x)
+        return Fraction(k, self.n) if k >= 38 else Fraction(k, 10 * self.n)
+
+
+def test_run_trichotomy_stuck_inside_improve_names_the_improvement():
+    # each block is a 38-vertex id prefix; the spire's first step takes 0's
+    # neighbour 1 out of head block 0..37, and the 37 vertices left weigh
+    # 37/960, below 3*epsilon
+    hook = CaterpillarTree(hook_graph())
+    params = EngineParams(3, Fraction(1, 48), 2)
+    trace = []
+    out = run_trichotomy(path_graph(96), _SmallSetsLight(96), hook, params, trace=trace)
+    assert out == Stuck.make(
+        "spire-blocked",
+        {
+            "improvement": "1",
+            "path_so_far": "[0]",
+            "reason": "remaining mass below 3*epsilon",
+            "remaining_mass": "37/960",
+        },
+    )
+    assert [t["stage"] for t in trace] == ["blocks", "stuck"]
+    assert trace[-1] == {"stage": "stuck", "at": "spire-blocked"}
 
 
 def test_run_trichotomy_seeded_start_still_verifies():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from catspire.engine import Spire, validate_spire
 from catspire.graphs import (
     Graph,
     VertexSet,
@@ -66,6 +67,15 @@ def test_graph_construction():
     assert repr(g) == "Graph(n=4, m=2)"
     assert g == Graph(4, [(1, 0), (1, 2)])
     assert g != Graph(5, [(0, 1), (1, 2)])
+
+
+def test_has_edge_range_checks_both_ends():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert not g.has_edge(1, -1) and not g.has_edge(0, -3)
+    assert not g.has_edge(1, 4) and not g.has_edge(-1, -1)
+    # a negative path vertex reaches VertexSet's own check, not a shift error
+    with pytest.raises(ValueError, match="negative vertex id -1"):
+        validate_spire(g, Spire((1, -1, 2), VertexSet([2, 3])))
 
 
 def test_graph_errors():

@@ -12,17 +12,10 @@ from fractions import Fraction
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from catspire.engine import (
-    EngineStuck,
-    Pair,
-    Piece,
-    _first_cover,
-    big_piece,
-    initial_blocks,
-    least_reaching,
-)
+from catspire.engine import _first_cover, big_piece, initial_blocks, least_reaching
 from catspire.graphs import Graph, VertexSet, components
 from catspire.mass import CardinalityMass, ChromaticMass, WeightedMass
+from catspire.witnesses import AnticompletePair, Stuck
 
 SEARCH_SETTINGS = settings(
     max_examples=150,
@@ -44,10 +37,7 @@ def linear_initial_blocks(g, m, kappa0, p):
             acc = 0
             if len(blocks) == p:
                 return blocks
-    raise EngineStuck(
-        "insufficient-blocks",
-        {"blocks_found": str(len(blocks)), "blocks_needed": str(p)},
-    )
+    return ("stuck", "insufficient-blocks", str(len(blocks)))
 
 
 def linear_big_piece(g, m, x, epsilon):
@@ -60,12 +50,12 @@ def linear_big_piece(g, m, x, epsilon):
     prefix = VertexSet.from_mask(acc)
     suffix = VertexSet.from_mask(x.mask & ~acc)
     if m.mass(suffix) >= epsilon:
-        return Pair(prefix, suffix)
+        return AnticompletePair(prefix, suffix)
     pivot = comps[idx]
     rest = VertexSet.from_mask(x.mask & ~pivot.mask)
     if m.mass(rest) >= epsilon:
-        return Pair(pivot, rest)
-    return Piece(pivot)
+        return AnticompletePair(pivot, rest)
+    return pivot
 
 
 def linear_first_cover(g, m, order, shaved, bar):
@@ -78,11 +68,10 @@ def linear_first_cover(g, m, order, shaved, bar):
     return len(order), None, covered
 
 
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except EngineStuck as ex:
-        return ("stuck", ex.stage, ex.diagnostics["blocks_found"])
+def outcome(blocks):
+    if isinstance(blocks, Stuck):
+        return ("stuck", blocks.stage, blocks.diag_dict()["blocks_found"])
+    return blocks
 
 
 # ------------------------------------------------------------- instances
@@ -147,8 +136,8 @@ def test_initial_blocks_match_the_linear_scan(host, data):
     g, m = host
     kappa0 = data.draw(bars(m, g.n))
     p = data.draw(st.integers(1, 6))
-    assert outcome(initial_blocks, g, m, kappa0, Fraction(0), p) == outcome(
-        linear_initial_blocks, g, m, kappa0, p
+    assert outcome(initial_blocks(g, m, kappa0, Fraction(0), p)) == linear_initial_blocks(
+        g, m, kappa0, p
     )
 
 
