@@ -22,7 +22,6 @@ from .graphs import (
     VertexSet,
     components,
     connected_order,
-    covers,
     is_anticomplete,
     is_connected,
     neighbours,
@@ -90,7 +89,6 @@ __all__ = [
     "check_realization",
     "components",
     "connected_order",
-    "covers",
     "exact_chromatic_number",
     "extract_copy",
     "fit_tau",

@@ -91,28 +91,6 @@ def _resolve_params(
     return EngineParams(fit_tau(t) if tau is None else tau, eps, p)
 
 
-def _run_engine(
-    g: Graph,
-    m: MassProvider,
-    t: CaterpillarTree,
-    params: EngineParams,
-    mass_option: str,
-    trace: Optional[List[dict]] = None,
-    x1_rng: Optional[random.Random] = None,
-):
-    try:
-        return run_trichotomy(g, m, t, params, trace=trace, x1_rng=x1_rng)
-    except TheoremViolation as ex:
-        ex.replay = {  # type: ignore[attr-defined]
-            "message": str(ex),
-            "graph": serialize_edge_list(g),
-            "tree": serialize_edge_list(t.tree),
-            "mass": mass_option,
-            "params": parameters_document(params),
-        }
-        raise
-
-
 def _write_replay(replay: dict) -> None:
     try:
         with open(REPLAY_BUNDLE, "w", encoding="utf-8") as fh:
@@ -131,7 +109,17 @@ def _certify(args: argparse.Namespace) -> Tuple[MassProvider, EngineParams, Witn
     params = _resolve_params(t, args.tau, args.epsilon, args.p)
     trace: Optional[List[dict]] = [] if args.trace else None
     rng = random.Random(args.x1_seed) if args.x1_seed is not None else None
-    w = _run_engine(g, m, t, params, args.mass, trace=trace, x1_rng=rng)
+    try:
+        w = run_trichotomy(g, m, t, params, trace=trace, x1_rng=rng)
+    except TheoremViolation as ex:
+        ex.replay = {  # type: ignore[attr-defined]
+            "message": str(ex),
+            "graph": serialize_edge_list(g),
+            "tree": serialize_edge_list(t.tree),
+            "mass": args.mass,
+            "params": parameters_document(params),
+        }
+        raise
     verdict = "unverified" if isinstance(w, Stuck) else "pass"
     return m, params, w, witness_document(g, m, w, params, verdict, trace=trace)
 
@@ -236,6 +224,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         trials = int(doc["trials"])
         tree = _tree_from_value(doc["tree"])
         given = doc.get("params", {})
+        if not isinstance(given, dict):
+            raise TypeError(f"params must be a JSON object, got {given!r}")
         params = _resolve_params(
             tree,
             int(given["tau"]) if "tau" in given else None,

@@ -179,10 +179,8 @@ def _flood(g: Graph, seed: int, allowed: int, order: Optional[List[int]] = None)
     return comp
 
 
-def shortest_path(
-    g: Graph, a: int, b: int, allowed: Optional[int] = None
-) -> Optional[Tuple[int, ...]]:
-    """A shortest a-b path inside the `allowed` mask (default: every vertex).
+def shortest_path(g: Graph, a: int, b: int, allowed: int) -> Optional[Tuple[int, ...]]:
+    """A shortest a-b path inside the `allowed` mask.
 
     Breadth-first from a, each vertex taking as parent the first frontier
     vertex that reaches it, frontier vertices in discovery order and their
@@ -190,8 +188,6 @@ def shortest_path(
     None when b is unreachable.
     """
     adj = g._adj
-    if allowed is None:
-        allowed = (1 << g.n) - 1
     parent = {a: a}
     frontier = [a]
     while frontier and b not in parent:
@@ -248,16 +244,6 @@ def is_anticomplete(g: Graph, a: VertexSet, b: VertexSet) -> bool:
     small, other = (a, b) if len(a) <= len(b) else (b, a)
     for v in small:
         if g.adj(v) & other.mask:
-            return False
-    return True
-
-
-def covers(g: Graph, x: VertexSet, y: VertexSet) -> bool:
-    """True iff every vertex of y has a neighbour in x.  Requires x, y disjoint."""
-    if x.mask & y.mask:
-        raise ValueError("covers requires disjoint sets")
-    for v in y:
-        if not g.adj(v) & x.mask:
             return False
     return True
 

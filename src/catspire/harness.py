@@ -117,6 +117,8 @@ class GenSpec:
 
     @staticmethod
     def from_document(doc: dict) -> "GenSpec":
+        if not isinstance(doc, dict):
+            raise TypeError(f"a generator spec must be a JSON object, got {doc!r}")
         prob = doc.get("probability")
         return GenSpec(
             model=doc["model"],

@@ -82,6 +82,8 @@ _RATIONAL = re.compile(r"([-+]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?")
 
 def parse_rational(text: str) -> Fraction:
     """Parse a 'p/q' or integer string of any size; decimals are rejected."""
+    if not isinstance(text, str):
+        raise TypeError(f"rationals must be 'p/q' or integer strings, got {text!r}")
     s = text.strip()
     if "." in s or "e" in s.lower():
         raise ValueError(f"rationals must be 'p/q' or integer strings, got {text!r}")
@@ -137,6 +139,8 @@ def witness_document(
 
 def witness_from_document(doc: dict) -> Witness:
     """Rebuild a witness value from its document (used by the verify command)."""
+    if not isinstance(doc, dict):
+        raise TypeError("a witness document must be a JSON object")
     tag = doc.get("variant")
     if tag == "high-mass-vertex":
         return HighMassVertex(int(doc["vertex"]))
@@ -147,5 +151,8 @@ def witness_from_document(doc: dict) -> Witness:
     if tag == "induced-copy":
         return InducedCopy(tuple(int(v) for v in doc["mapping"]))
     if tag == "stuck":
-        return Stuck.make(str(doc.get("stage", "")), {k: v for k, v in doc.get("diagnostics", {}).items()})
+        diagnostics = doc.get("diagnostics", {})
+        if not isinstance(diagnostics, dict):
+            raise TypeError("stuck diagnostics must be a JSON object")
+        return Stuck.make(str(doc.get("stage", "")), diagnostics)
     raise ValueError(f"unknown witness variant {tag!r}")

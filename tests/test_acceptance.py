@@ -341,7 +341,8 @@ def test_unit_step_invariants_on_randomized_inputs(capsys):
         if isinstance(out, Spire):
             spire_kinds["spire"] += 1
             assert len(out.xs) == tau
-            assert validate_spire(g, out, within=x) == []
+            assert validate_spire(g, out) == []
+            assert VertexSet(out.xs).issubset(x) and out.z.issubset(x)
             if ax:
                 assert m.mass(out.z) >= total - tau * eps
         else:

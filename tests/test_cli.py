@@ -263,6 +263,46 @@ def test_batch_command(tmp_path, capsys):
     assert "bad batch spec" in capsys.readouterr().err
 
 
+_GOOD_BATCH = {
+    "trials": 1,
+    "tree": {"spine": 5, "legs": [[3, 1]]},
+    "params": {"tau": 3, "epsilon": "1/10", "p": 2},
+    "specs": [{"model": "gnp", "n": 12, "probability": "1", "seed": 0}],
+}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"params": {"tau": 3, "epsilon": 0.1, "p": 2}}, "got 0.1"),
+        ({"specs": [{"model": "gnp", "n": 12, "probability": 1, "seed": 0}]}, "got 1"),
+        ({"specs": [5]}, "must be a JSON object, got 5"),
+        ({"params": []}, "params must be a JSON object, got []"),
+    ],
+    ids=["numeric-epsilon", "numeric-probability", "spec-not-object", "params-not-object"],
+)
+def test_batch_rejects_wrong_json_types(tmp_path, capsys, change, message):
+    path = _write(tmp_path, "batch.json", json.dumps({**_GOOD_BATCH, **change}))
+    assert main(["batch", "--spec", path]) == 66
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad batch spec:")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [[1], {"variant": "stuck", "stage": "axiom", "diagnostics": [1]}],
+    ids=["document-list", "diagnostics-list"],
+)
+def test_verify_rejects_wrong_json_types(tmp_path, capsys, hook_file, doc):
+    g = _graph_file(tmp_path, "g.txt", path_graph(6))
+    witness = _write(tmp_path, "w.json", json.dumps(doc))
+    code = main(["verify", "--graph", g, "--tree", hook_file,
+                 "--witness", witness, "--epsilon", "1/6"])
+    assert code == 66
+    assert capsys.readouterr().err.startswith("error: malformed witness document:")
+
+
 def test_usage_errors(tmp_path, capsys, hook_file):
     g = _graph_file(tmp_path, "g.txt", path_graph(6))
     triangle = _graph_file(tmp_path, "k3.txt", cycle_graph(3))

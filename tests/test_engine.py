@@ -22,7 +22,6 @@ from catspire.engine import (
     max_feasible_epsilon,
     paper_epsilon,
     paper_p,
-    restrict,
     run_trichotomy,
     validate_spire,
 )
@@ -34,6 +33,7 @@ from catspire.witnesses import (
     AnticompletePair,
     HighMassNeighbourhood,
     HighMassVertex,
+    InducedCopy,
     Stuck,
 )
 from helpers import (
@@ -185,10 +185,6 @@ def test_validate_spire_accepts_path_spire():
     g = path_graph(6)
     s = Spire((0, 1, 2), VertexSet([2, 3, 4, 5]))
     assert validate_spire(g, s) == []
-    assert validate_spire(g, s, within=VertexSet(range(6))) == []
-    assert validate_spire(g, s, within=VertexSet([0, 1, 2, 3])) == [
-        "spire leaves its ambient set"
-    ]
 
 
 def test_validate_spire_problems():
@@ -263,7 +259,7 @@ def test_grow_spire_on_a_path():
     m = CardinalityMass(20)
     s = grow_spire(g, m, VertexSet(range(20)), 3, Fraction(3, 20))
     assert s == Spire((0, 1, 2), VertexSet(range(2, 20)))
-    assert validate_spire(g, s, within=VertexSet(range(20))) == []
+    assert validate_spire(g, s) == []
     assert m.mass(s.z) == Fraction(9, 10)
 
 
@@ -369,21 +365,15 @@ def test_check_realization_flags_overlap():
     assert "classes of 0 and 5 intersect" in out
 
 
-def test_restrict_keeps_one_component():
-    g = path_graph(100)
-    comps = (Chrysalis(3, 0, {}), Chrysalis(3, 1, {}))
-    nursery = Nursery(3, comps, (0, 1))
-    r = Realization(
-        nursery,
-        {0: VertexSet(range(50)), 1: VertexSet(range(50, 100))},
-        {},
-        Fraction(2, 5),
-    )
-    sub = restrict(r, comps[0], creation=7)
-    assert sub.nursery.heads() == (0,)
-    assert sub.nursery.creations == (7,)
-    assert sub.assignment == {0: VertexSet(range(50))}
-    assert sub.kappa == Fraction(2, 5)
+def test_check_realization_flags_a_class_that_does_not_cover():
+    # vertex 24 is isolated, so leaf 1's class {1} misses part of head class {0, 24}
+    host, r = butterfly_host(3)
+    g = Graph(25, host.edges())
+    assignment = {**r.assignment, 0: VertexSet([0, 24])}
+    wide = Realization(r.nursery, assignment, r.spires, r.kappa)
+    assert check_realization(g, CardinalityMass(25), wide) == [
+        "class of 1 does not cover the class of 0"
+    ]
 
 
 # ------------------------------------------------------------------- merge
@@ -432,7 +422,9 @@ def test_improve_returns_pair_without_cover():
 
 def test_improve_preconditions():
     g, m, r = _two_blob_fixture(cover=True)
-    single = restrict(r, r.nursery.components[0])
+    single = Realization(
+        Nursery(3, [Chrysalis(3, 0, {})]), {0: r.assignment[0]}, {}, r.kappa
+    )
     with pytest.raises(ValueError, match="needs at least two components"):
         improve(g, m, single, Fraction(3, 20), Fraction(1, 50))
     with pytest.raises(ValueError, match="kappa step too steep"):
@@ -463,24 +455,18 @@ def test_extract_copy_rejects_bad_inputs():
     single = Realization(
         Nursery(3, [Chrysalis(3, 0, {})]), {0: VertexSet([0])}, {}, Fraction(1, 24)
     )
-    with pytest.raises(ValueError, match="single-butterfly realization"):
+    with pytest.raises(ValueError, match="realization with a butterfly component"):
         extract_copy(g, single, CaterpillarTree(path_graph(3)))
     drained = Realization(r.nursery, r.assignment, r.spires, Fraction(0))
     with pytest.raises(ValueError, match="needs kappa > 0"):
         extract_copy(g, drained, CaterpillarTree(path_graph(3)))
     with pytest.raises(ValueError, match="tau does not fit"):
         extract_copy(g, r, CaterpillarTree(path_graph(5)))
-    starved = dict(r.assignment)
-    starved[0] = VertexSet([])
-    bad = Realization(r.nursery, starved, r.spires, r.kappa)
-    with pytest.raises(ValueError, match="realization invalid"):
-        extract_copy(g, bad, CaterpillarTree(path_graph(3)), m=CardinalityMass(24))
 
 
 def test_extract_copy_frozen_mappings():
     g, r = butterfly_host(3)
-    m = CardinalityMass(24)
-    assert extract_copy(g, r, CaterpillarTree(hook_graph()), m=m) == (0, 1, 2, 3, 18, 13)
+    assert extract_copy(g, r, CaterpillarTree(hook_graph())) == (0, 1, 2, 3, 18, 13)
     assert extract_copy(g, r, CaterpillarTree(path_graph(3))) == (0, 1, 2)
     assert extract_copy(g, r, CaterpillarTree(star_graph(3))) == (1, 0, 2, 8)
 
@@ -491,8 +477,6 @@ def test_extract_copy_verifies_against_oracle():
     for target in (hook_graph(), path_graph(3), star_graph(3)):
         t = CaterpillarTree(target)
         mapping = extract_copy(g, r, t)
-        from catspire.witnesses import InducedCopy
-
         report = verify_witness(g, m, t, Fraction(1, g.n), InducedCopy(mapping))
         assert report.ok, report.problems
 
@@ -505,9 +489,7 @@ def test_extract_copy_short_reservoirs():
     m = CardinalityMass(64)
     assert check_realization(g, m, r) == []
     t = CaterpillarTree(star_graph(4))
-    mapping = extract_copy(g, r, t, m=m)
-    from catspire.witnesses import InducedCopy
-
+    mapping = extract_copy(g, r, t)
     assert verify_witness(g, m, t, Fraction(1, 64), InducedCopy(mapping)).ok
 
 
@@ -566,6 +548,42 @@ def test_run_trichotomy_merges_then_sticks_at_phi():
         {"stage": "improved", "improvement": "1", "kappa": "7/48", "components": "1"},
         {"stage": "stuck", "at": "phi-contradiction"},
     ]
+
+
+def _merge_into(monkeypatch, r):
+    """Make every improve step return the fixed realization r."""
+    monkeypatch.setattr("catspire.engine.improve", lambda *args, **kwargs: (r.nursery, r))
+
+
+_BUTTERFLY_TRACE = ["blocks", "improved", "butterfly", "verified"]
+
+
+def test_run_trichotomy_extracts_from_a_butterfly(monkeypatch):
+    host, br = butterfly_host(3)
+    g = Graph(200, host.edges())
+    r = Realization(br.nursery, br.assignment, br.spires, Fraction(1, 200))
+    _merge_into(monkeypatch, r)
+    trace = []
+    hook = CaterpillarTree(hook_graph())
+    out = run_trichotomy(g, CardinalityMass(200), hook, EngineParams(3, Fraction(1, 48), 2), trace=trace)
+    assert out == InducedCopy((0, 1, 2, 3, 18, 13))
+    assert [t["stage"] for t in trace] == _BUTTERFLY_TRACE
+
+
+def test_run_trichotomy_extracts_beside_another_component(monkeypatch):
+    # the single-vertex component sorts ahead of the butterfly
+    host, br = butterfly_host(3)
+    g = Graph(500, host.edges())
+    nursery = Nursery(3, [butterfly(3), Chrysalis(3, 8, {})])
+    assert nursery.components[1].is_butterfly
+    assignment = {**br.assignment, 8: VertexSet([100])}
+    r = Realization(nursery, assignment, br.spires, Fraction(1, 500))
+    _merge_into(monkeypatch, r)
+    trace = []
+    hook = CaterpillarTree(hook_graph())
+    out = run_trichotomy(g, CardinalityMass(500), hook, EngineParams(3, Fraction(1, 144), 3), trace=trace)
+    assert out == InducedCopy((0, 1, 2, 3, 18, 13))
+    assert [t["stage"] for t in trace] == _BUTTERFLY_TRACE
 
 
 class _SmallSetsLight:

@@ -13,7 +13,6 @@ from catspire.graphs import (
     VertexSet,
     components,
     connected_order,
-    covers,
     is_anticomplete,
     is_connected,
     neighbours,
@@ -143,15 +142,6 @@ def test_is_anticomplete():
     assert not is_anticomplete(Graph(2, [(0, 1)]), VertexSet([0]), VertexSet([1]))
 
 
-def test_covers():
-    g = star_graph(4)
-    assert covers(g, VertexSet([0]), VertexSet([1, 2, 3, 4]))
-    assert not covers(g, VertexSet(), VertexSet([1]))
-    assert covers(g, VertexSet(), VertexSet())
-    with pytest.raises(ValueError, match="disjoint"):
-        covers(g, VertexSet([0, 1]), VertexSet([1, 2]))
-
-
 def test_connected_order():
     assert connected_order(path_graph(4), VertexSet(range(4)), 0) == [0, 1, 2, 3]
     star = star_graph(4)
@@ -178,10 +168,11 @@ def test_connected_order_errors():
 
 
 def test_shortest_path_frozen():
-    assert shortest_path(path_graph(5), 0, 4) == (0, 1, 2, 3, 4)
-    assert shortest_path(path_graph(5), 3, 3) == (3,)
+    every = (1 << 5) - 1
+    assert shortest_path(path_graph(5), 0, 4, every) == (0, 1, 2, 3, 4)
+    assert shortest_path(path_graph(5), 3, 3, every) == (3,)
     forest = Graph(4, [(0, 1), (2, 3)])
-    assert shortest_path(forest, 0, 3) is None
+    assert shortest_path(forest, 0, 3, (1 << 4) - 1) is None
 
 
 # ------------------------------------------------- networkx cross-check

@@ -110,18 +110,10 @@ def test_validate_chrysalis_spine_problems():
     ok = Chrysalis(3, 0, {1: 0, 2: 1, 3: 1})
     assert ok.spine == (0, 1)
     assert validate_chrysalis(ok) == []
-
-    unanchored = Chrysalis(3, 0, {1: 0, 2: 1, 3: 1}, spine=(1,))
-    assert "spine is not anchored at the head" in validate_chrysalis(unanchored)
-
-    broken = Chrysalis(3, 0, {1: 0, 2: 1, 3: 1}, spine=(0, 3, 1))
-    assert "spine break: 3 is not a child of 0" in validate_chrysalis(broken)
-
-    padded = Chrysalis(3, 0, {1: 0}, spine=(0, 1))
-    assert (
-        "spine (0, 1) is not the minimal derivable spine (0,)"
-        in validate_chrysalis(padded)
-    )
+    # the spine is always derived, so a lone edge gets the minimal one
+    edge = Chrysalis(3, 0, {1: 0})
+    assert edge.spine == (0,)
+    assert validate_chrysalis(edge) == []
 
 
 def test_validate_chrysalis_length_and_degree():
