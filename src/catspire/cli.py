@@ -164,8 +164,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         if args.tree is None:
             raise ValueError("oracle embed needs --tree")
         t = parse_graph(_read(args.tree))
-        result = brute_induced_embedding(g, t)
-        doc = {"found": result.found, "mapping": list(result.mapping) if result.found else None}
+        mapping = brute_induced_embedding(g, t)
+        doc = {"found": mapping is not None, "mapping": None if mapping is None else list(mapping)}
     elif args.mode == "anticomplete":
         a, b = brute_best_anticomplete(g)
         doc = {"a": sorted(a), "b": sorted(b)}

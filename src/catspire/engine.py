@@ -23,7 +23,6 @@ chromatic one.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -59,8 +58,6 @@ from .witnesses import (
     format_rational,
 )
 
-log = logging.getLogger(__name__)
-
 
 class TheoremViolation(RuntimeError):
     """A step the proof guarantees has failed; the run is not trustworthy."""
@@ -90,6 +87,16 @@ def max_feasible_epsilon(p: int, tau: int) -> Fraction:
     return Fraction(1, p * (1 << p) * (tau + 3))
 
 
+def _feasible(epsilon: Fraction, p: int, tau: int) -> bool:
+    """Whether the kappa schedule at p is feasible at epsilon.
+
+    The bound's denominator has more than p bits, so an epsilon whose
+    denominator has at most p bits is above it; that test settles every
+    oversized p without building the p-bit bound.
+    """
+    return p < epsilon.denominator.bit_length() and epsilon <= max_feasible_epsilon(p, tau)
+
+
 @dataclass(frozen=True)
 class EngineParams:
     """tau, epsilon, p, with the kappa schedule and the guarantee flag.
@@ -101,7 +108,7 @@ class EngineParams:
     kappa(i) is computed at the step that reads it: at the proven constants
     each entry carries a p-bit denominator.  kappa decreases in i, so the
     schedule is feasible exactly when kappa(p) >= epsilon, that is epsilon
-    <= max_feasible_epsilon(p, tau).  Construction does not check that:
+    is at most 1/(p*2^p*(tau+3)).  Construction does not check that:
     run_trichotomy does, after the axiom scan, because several interesting
     oversized-epsilon runs have no feasible schedule at all yet still
     terminate at the axiom stage.
@@ -119,9 +126,8 @@ class EngineParams:
         if eps <= 0:
             raise ValueError("epsilon must be positive")
         if self.p is None:
-            # feasibility at p needs a denominator of more than p bits, so
-            # the least infeasible p >= 3 lies within its bit length
-            first = least_reaching(lambda i: eps > max_feasible_epsilon(i + 3, self.tau),
+            # the least infeasible p >= 3 lies within the denominator's bit length
+            first = least_reaching(lambda i: not _feasible(eps, i + 3, self.tau),
                                    eps.denominator.bit_length())
             object.__setattr__(self, "p", first + 2)
         if self.p < 2:
@@ -135,11 +141,8 @@ class EngineParams:
 
     @property
     def guarantee(self) -> bool:
-        # epsilon meets a bound at p only with a denominator of more than p bits
         proven_p = paper_p(self.tau)
-        if self.p < proven_p or self.epsilon.denominator.bit_length() <= proven_p:
-            return False
-        return self.epsilon <= max_feasible_epsilon(proven_p, self.tau)
+        return self.p >= proven_p and _feasible(self.epsilon, proven_p, self.tau)
 
 
 @dataclass(frozen=True)
@@ -329,7 +332,7 @@ def grow_spire(
 
 
 def initial_blocks(
-    g: Graph, m: MassProvider, kappa0: Fraction, epsilon: Fraction, p: int
+    g: Graph, m: MassProvider, kappa0: Fraction, p: int
 ) -> Union[List[VertexSet], Stuck]:
     """Greedy p disjoint blocks, each the least id-prefix of mass >= kappa0
     among the ids left after the previous block, found by search, or an
@@ -513,6 +516,10 @@ def improve(
     reservoir prefix become the class of the merged vertex.  Failure to
     cover anything is itself an anticomplete pair; a pair or Stuck from the
     spire is returned as it is.
+
+    Assumes every neighbourhood has mass below epsilon, as run_trichotomy's
+    axiom scan ensures; without that a shaved class can start below the bar,
+    and the merge can leave a head class below kappa_next.
     """
     nursery = r.nursery
     comps = nursery.components
@@ -558,14 +565,6 @@ def improve(
         j = min(shaved)
         return AnticompletePair(grown.z, VertexSet.from_mask(shaved[j] & ~covered_reach))
 
-    if steps == 1:
-        # the shaved classes exclude all neighbours of x_tau = z_1, so a hit
-        # at the first step means the class was already below the bar
-        log.warning(
-            "connected cover succeeded at its first vertex; head class %s was "
-            "already below kappa'+epsilon",
-            heads[j],
-        )
     prefix = VertexSet(z_order[:steps])
 
     h_i, h_j = heads[i], heads[j]
@@ -655,13 +654,13 @@ def extract_copy(g: Graph, r: Realization, t: CaterpillarTree) -> Tuple[int, ...
         raise ValueError("tau does not fit the target tree")
 
     host = _host_paths(g, r, comp)
-    found = brute_induced_embedding(g, target, within=host)
-    if not found.found:
+    mapping = brute_induced_embedding(g, target, within=host)
+    if mapping is None:
         raise TheoremViolation(
             f"no induced copy of the target inside the {len(host)}-vertex host; "
             "this contradicts the extraction theorem"
         )
-    return found.mapping
+    return mapping
 
 
 def run_trichotomy(
@@ -715,37 +714,37 @@ def run_trichotomy(
             note("axiom-2", vertex=v)
             return finish(HighMassNeighbourhood(v))
 
-    limit = max_feasible_epsilon(params.p, params.tau)
-    if eps > limit:
+    p, tau = params.p, params.tau
+    if not _feasible(eps, p, tau):
+        if p < eps.denominator.bit_length():
+            limit = format_rational(max_feasible_epsilon(p, tau))
+        else:
+            limit = f"1/({p}*2^{p}*{tau + 3})"
         return stuck(
             "kappa-schedule-infeasible",
-            {
-                "epsilon": format_rational(eps),
-                "p": str(params.p),
-                "max_feasible_epsilon": format_rational(limit),
-            },
+            {"epsilon": format_rational(eps), "p": str(p), "max_feasible_epsilon": limit},
         )
 
     kappa0 = params.kappa(0)
-    blocks = initial_blocks(g, m, kappa0, eps, params.p)
+    blocks = initial_blocks(g, m, kappa0, p)
     if isinstance(blocks, Stuck):
         return stuck(blocks.stage, blocks.diag_dict())
     note("blocks", count=len(blocks), kappa0=format_rational(kappa0))
 
-    nursery = Nursery(params.tau, [Chrysalis(params.tau, h, {}) for h in range(params.p)])
-    r = Realization(nursery, {h: blocks[h] for h in range(params.p)}, {}, kappa0)
+    nursery = Nursery(tau, [Chrysalis(tau, h, {}) for h in range(p)])
+    r = Realization(nursery, {h: blocks[h] for h in range(p)}, {}, kappa0)
     bad = check_realization(g, m, r)
     if bad:
         raise TheoremViolation("initial realization invalid: " + "; ".join(bad))
 
     # each merge removes exactly one of the p components, so step p finds a
     # single component: a butterfly, or a nursery whose potential is too low
-    for step in range(1, params.p + 1):
+    for step in range(1, p + 1):
         comps = r.nursery.components
         if any(comp.is_butterfly for comp in comps):
             note("butterfly", improvements=step - 1)
             return finish(InducedCopy(extract_copy(g, r, t)))
-        if step == params.p:
+        if step == p:
             break
         outcome = improve(g, m, r, params.kappa(step), eps, x1_rng=x1_rng)
         if isinstance(outcome, Stuck):
@@ -775,6 +774,6 @@ def run_trichotomy(
             "components": str(len(comps)),
             "largest_size": str(comps[0].size),
             "phi": str(phi(r.nursery)),
-            "floor": str(2 * params.p),
+            "floor": str(2 * p),
         },
     )

@@ -99,26 +99,25 @@ class WeightedMass(MassProvider):
 class ChromaticMass(MassProvider):
     """mass(X) = chi(G[X]) / chi(G), exact, memoized per subset.
 
-    Refuses ambient graphs above the size limit: exact coloring is
-    exponential and honest failure beats silent approximation.
+    Refuses ambient graphs above DEFAULT_CHROMATIC_LIMIT vertices: exact
+    coloring is exponential and honest failure beats silent approximation.
     """
 
-    def __init__(self, g: Graph, limit: int = DEFAULT_CHROMATIC_LIMIT) -> None:
+    def __init__(self, g: Graph) -> None:
         if g.n < 1:
             raise ValueError("chromatic mass needs at least one vertex")
-        if g.n > limit:
+        if g.n > DEFAULT_CHROMATIC_LIMIT:
             raise ValueError(
-                f"chromatic mass limited to {limit} vertices, graph has {g.n}"
+                f"chromatic mass limited to {DEFAULT_CHROMATIC_LIMIT} vertices, graph has {g.n}"
             )
         self.graph = g
-        self.limit = limit
         self._memo: Dict[int, int] = {}
         self.chi_total = self._chi(g.vertices())
 
     def _chi(self, x: VertexSet) -> int:
         cached = self._memo.get(x.mask)
         if cached is None:
-            cached = exact_chromatic_number(self.graph, self.limit, within=x)
+            cached = exact_chromatic_number(self.graph, within=x)
             self._memo[x.mask] = cached
         return cached
 

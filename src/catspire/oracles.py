@@ -42,37 +42,24 @@ class NodeLimitExceeded(RuntimeError):
     """The backtracking search ran out of its node budget (an error, not 'absent')."""
 
 
-@dataclass(frozen=True)
-class EmbeddingResult:
-    """mapping[i] is the image of target vertex i, or None when absent."""
-
-    mapping: Optional[Tuple[int, ...]]
-
-    @property
-    def found(self) -> bool:
-        return self.mapping is not None
-
-
 def brute_induced_embedding(
-    g: Graph,
-    t: Graph,
-    node_limit: Optional[int] = None,
-    within: Optional[VertexSet] = None,
-) -> EmbeddingResult:
+    g: Graph, t: Graph, within: Optional[VertexSet] = None
+) -> Optional[Tuple[int, ...]]:
     """Lexicographically least induced embedding of t into g, by t's vertex order.
 
-    Candidates are tried in ascending id order, optionally restricted to the
-    `within` set.  A node is one attempted (target vertex, candidate)
-    assignment; exceeding node_limit raises NodeLimitExceeded.
+    Returns the images of t's vertices in order, or None when there is no
+    embedding.  Candidates are tried in ascending id order, optionally
+    restricted to the `within` set.  A node is one attempted (target vertex,
+    candidate) assignment; exceeding default_node_limit() raises
+    NodeLimitExceeded.
     """
-    if node_limit is None:
-        node_limit = default_node_limit()
+    budget = default_node_limit()
     k = t.n
     allowed = within.mask if within is not None else (1 << g.n) - 1
     if k > allowed.bit_count():
-        return EmbeddingResult(None)
+        return None
     if k == 0:
-        return EmbeddingResult(())
+        return ()
 
     t_adj = [t.adj(i) for i in range(k)]
     images: List[int] = []
@@ -103,8 +90,8 @@ def brute_induced_embedding(
             return True
         for c in candidates(i):
             nodes += 1
-            if nodes > node_limit:
-                raise NodeLimitExceeded(f"exceeded {node_limit} search nodes")
+            if nodes > budget:
+                raise NodeLimitExceeded(f"exceeded {budget} search nodes")
             images.append(c)
             used |= 1 << c
             if search(i + 1):
@@ -113,9 +100,7 @@ def brute_induced_embedding(
             images.pop()
         return False
 
-    if search(0):
-        return EmbeddingResult(tuple(images))
-    return EmbeddingResult(None)
+    return tuple(images) if search(0) else None
 
 
 def brute_best_anticomplete(g: Graph) -> Tuple[VertexSet, VertexSet]:
@@ -158,23 +143,20 @@ def brute_best_anticomplete(g: Graph) -> Tuple[VertexSet, VertexSet]:
     return (VertexSet(best_pair[0]), VertexSet(best_pair[1]))
 
 
-def exact_chromatic_number(
-    g: Graph,
-    limit: int = DEFAULT_CHROMATIC_LIMIT,
-    within: Optional[VertexSet] = None,
-) -> int:
+def exact_chromatic_number(g: Graph, within: Optional[VertexSet] = None) -> int:
     """Exact chromatic number by branch and bound with saturation ordering.
 
-    A greedy clique gives the lower bound.  The search's first descent takes
-    the least free colour at every step, which is greedy DSATUR, so it finds
-    the first upper bound itself.  `within` colors an induced subgraph
-    without copying it.
+    Refuses more than DEFAULT_CHROMATIC_LIMIT vertices.  A greedy clique
+    gives the lower bound.  The search's first descent takes the least free
+    colour at every step, which is greedy DSATUR, so it finds the first
+    upper bound itself.  `within` colors an induced subgraph without
+    copying it.
     """
     mask = within.mask if within is not None else (1 << g.n) - 1
     verts = list(VertexSet.from_mask(mask))
     k = len(verts)
-    if k > limit:
-        raise ValueError(f"exact coloring limited to {limit} vertices, got {k}")
+    if k > DEFAULT_CHROMATIC_LIMIT:
+        raise ValueError(f"exact coloring limited to {DEFAULT_CHROMATIC_LIMIT} vertices, got {k}")
     if k == 0:
         return 0
     idx = {v: i for i, v in enumerate(verts)}

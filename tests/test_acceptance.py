@@ -178,7 +178,7 @@ def test_small_host_sweep_agrees_with_brute_oracle(capsys):
                 continue
             if isinstance(w, InducedCopy):
                 copies += 1
-                assert brute_induced_embedding(g, t.tree).mapping is not None
+                assert brute_induced_embedding(g, t.tree) is not None
             assert verify_witness(g, m6, t, params.epsilon, w).verdict == "pass"
             checked += 1
 
@@ -201,7 +201,7 @@ def test_small_host_sweep_agrees_with_brute_oracle(capsys):
                 continue
             if isinstance(w, InducedCopy):
                 copies += 1
-                assert brute_induced_embedding(g, t.tree).mapping is not None
+                assert brute_induced_embedding(g, t.tree) is not None
             assert verify_witness(g, m7, t, params.epsilon, w).verdict == "pass"
             checked += 1
 

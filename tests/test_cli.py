@@ -67,6 +67,17 @@ def test_certify_stuck_exit(tmp_path, capsys, hook_file):
     assert doc["diagnostics"]["max_feasible_epsilon"] == "1/48"
 
 
+def test_certify_explicit_large_p_sticks_at_once(tmp_path, capsys, hook_file):
+    g = _graph_file(tmp_path, "g.txt", path_graph(200))
+    code = main(
+        ["certify", "--graph", g, "--tree", hook_file, "--epsilon", "1/99", "--p", "1000000"]
+    )
+    assert code == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["stage"] == "kappa-schedule-infeasible"
+    assert doc["diagnostics"]["max_feasible_epsilon"] == "1/(1000000*2^1000000*6)"
+
+
 def test_certify_default_p_from_epsilon(tmp_path, capsys, hook_file):
     # 1/48 is exactly feasible for p=2 and infeasible for p=3, so the
     # resolver picks 2 when --p is omitted.

@@ -299,7 +299,7 @@ def test_grow_spire_surfaces_pair():
 
 def test_initial_blocks_greedy_prefixes():
     g = Graph(100, [])
-    blocks = initial_blocks(g, CardinalityMass(100), Fraction(13, 100), Fraction(1, 100), 7)
+    blocks = initial_blocks(g, CardinalityMass(100), Fraction(13, 100), 7)
     assert len(blocks) == 7
     assert blocks[0] == VertexSet(range(13))
     assert all(len(b) == 13 for b in blocks)
@@ -308,7 +308,7 @@ def test_initial_blocks_greedy_prefixes():
 
 def test_initial_blocks_stuck():
     g = Graph(100, [])
-    out = initial_blocks(g, CardinalityMass(100), Fraction(13, 100), Fraction(1, 100), 8)
+    out = initial_blocks(g, CardinalityMass(100), Fraction(13, 100), 8)
     assert isinstance(out, Stuck)
     assert out.stage == "insufficient-blocks"
     assert out.diag_dict() == {
@@ -445,6 +445,20 @@ def test_improve_stuck_on_light_head():
     assert isinstance(out, Stuck)
     assert out.stage == "spire-blocked"
     assert out.diag_dict()["reason"] == "chosen head class too light to grow a spire"
+
+
+def test_improve_outside_the_neighbourhood_axiom_leaves_a_light_head():
+    # vertex 0 sees all of head 1's class, whose neighbourhood weighs 21/60,
+    # above epsilon: the spire path starts at 0, shaving leaves head 1 empty,
+    # and the cover hits it at the first step
+    g = Graph(60, [(v, v + 1) for v in range(39)] + [(0, v) for v in range(40, 60)])
+    nursery = Nursery(3, (Chrysalis(3, 0, {}), Chrysalis(3, 1, {})), (0, 1))
+    classes = {0: VertexSet(range(40)), 1: VertexSet(range(40, 60))}
+    r = Realization(nursery, classes, {}, Fraction(1, 3))
+    m = CardinalityMass(60)
+    out = improve(g, m, r, Fraction(7, 60), Fraction(1, 50))
+    assert isinstance(out, tuple)
+    assert check_realization(g, m, out[1]) == ["head 1 has mass 0, below kappa 7/60"]
 
 
 # -------------------------------------------------------------- extraction
@@ -656,6 +670,25 @@ def test_run_trichotomy_guarantee_never_stuck():
     hook = CaterpillarTree(hook_graph())
     with pytest.raises(TheoremViolation, match="despite guaranteed parameters"):
         run_trichotomy(path_graph(6), _AllOrNothing(6), hook, EngineParams(3))
+
+
+def test_explicit_p_past_epsilon_bit_length_names_the_bound():
+    hook = CaterpillarTree(hook_graph())
+    g, m = path_graph(200), CardinalityMass(200)
+    out = run_trichotomy(g, m, hook, EngineParams(3, Fraction(1, 99), 10**6))
+    assert out.stage == "kappa-schedule-infeasible"
+    assert out.diag_dict() == {
+        "epsilon": "1/99",
+        "p": "1000000",
+        "max_feasible_epsilon": "1/(1000000*2^1000000*6)",
+    }
+    tracemalloc.start()
+    try:
+        out = run_trichotomy(g, m, hook, EngineParams(3, Fraction(1, 99), 10**10))
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    assert out.diag_dict()["max_feasible_epsilon"] == "1/(10000000000*2^10000000000*6)"
 
 
 @settings(max_examples=200, deadline=None)

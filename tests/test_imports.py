@@ -1,5 +1,6 @@
-"""Import hygiene, checked with the standard library's ast: every name a
-package module imports is used in that module, and every public name
+"""Import and parameter hygiene, checked with the standard library's ast:
+every name a package module imports is used in that module, every
+parameter is read in its function's body, and every public name
 resolves."""
 
 import ast
@@ -28,6 +29,54 @@ def _unused_imports(source: str):
         ):
             used |= {elt.value for elt in node.value.elts}
     return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def _unused_parameters(source: str):
+    """(line, function, parameter) for each parameter its function never reads.
+
+    self, cls and functions whose body only raises NotImplementedError are
+    exempt: an interface's parameters belong to its implementations.
+    """
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        body = [stmt for stmt in node.body if not (
+            isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))]
+        if len(body) == 1 and isinstance(body[0], ast.Raise):
+            exc = body[0].exc
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(exc, ast.Name) and exc.id == "NotImplementedError":
+                continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        out += [(node.lineno, node.name, a.arg) for a in params
+                if a.arg not in ("self", "cls") and a.arg not in read]
+    return sorted(out)
+
+
+def test_unused_parameters_are_detected():
+    source = (
+        "def f(a, b, *rest, c=1, **kw):\n    return a + c\n\n"
+        "class M:\n"
+        "    def mass(self, x):\n        raise NotImplementedError\n\n"
+        "    def g(self, y):\n        def inner(z):\n            return y\n        return inner\n"
+    )
+    assert _unused_parameters(source) == [
+        (1, "f", "b"), (1, "f", "kw"), (1, "f", "rest"), (9, "inner", "z")
+    ]
+
+
+def test_every_parameter_in_the_package_is_read():
+    unused = {
+        path.name: found
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (found := _unused_parameters(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}
 
 
 def test_unused_imports_are_detected():

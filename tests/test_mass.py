@@ -100,8 +100,6 @@ def test_chromatic_mass_limits():
         ChromaticMass(Graph(0))
     with pytest.raises(ValueError, match="limited to 64 vertices, graph has 65"):
         ChromaticMass(Graph(65))
-    with pytest.raises(ValueError, match="limited to 4 vertices"):
-        ChromaticMass(path_graph(5), limit=4)
 
 
 def test_axioms_pass_exhaustively():

@@ -136,7 +136,7 @@ def test_initial_blocks_match_the_linear_scan(host, data):
     g, m = host
     kappa0 = data.draw(bars(m, g.n))
     p = data.draw(st.integers(1, 6))
-    assert outcome(initial_blocks(g, m, kappa0, Fraction(0), p)) == linear_initial_blocks(
+    assert outcome(initial_blocks(g, m, kappa0, p)) == linear_initial_blocks(
         g, m, kappa0, p
     )
 
@@ -184,7 +184,7 @@ def test_initial_blocks_makes_logarithmically_many_mass_calls():
     g = Graph(n)
     kappa0 = Fraction(1, p + 1)
     counted = CountingMass(n)
-    blocks = initial_blocks(g, counted, kappa0, Fraction(1, n), p)
+    blocks = initial_blocks(g, counted, kappa0, p)
     assert blocks == linear_initial_blocks(g, CardinalityMass(n), kappa0, p)
     assert counted.calls <= p * (2 * math.ceil(math.log2(n)) + 2)
 
@@ -197,7 +197,7 @@ def test_initial_blocks_count_a_prefix_at_exactly_kappa0():
     m = WeightedMass(weights)
     kappa0 = Fraction(sum(weights[:81]), sum(weights))
     assert weights[80] > 0 and weights[81] == 0
-    blocks = initial_blocks(Graph(200), m, kappa0, Fraction(1, 200), 2)
+    blocks = initial_blocks(Graph(200), m, kappa0, 2)
     assert blocks[0] == VertexSet(range(81))
     assert m.mass(blocks[0]) == kappa0
     assert blocks == linear_initial_blocks(Graph(200), m, kappa0, 2)
