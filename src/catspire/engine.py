@@ -515,7 +515,8 @@ def improve(
     covered class becomes the new head class; the spire path and the
     reservoir prefix become the class of the merged vertex.  Failure to
     cover anything is itself an anticomplete pair; a pair or Stuck from the
-    spire is returned as it is.
+    spire is returned as it is.  Every head class of a valid realization
+    weighs at least kappa > (tau+2)*epsilon, which grow_spire requires.
 
     Assumes every neighbourhood has mass below epsilon, as run_trichotomy's
     axiom scan ensures; without that a shaved class can start below the bar,
@@ -540,17 +541,7 @@ def improve(
         if comps[idx].degree(comps[idx].head) == tau - 1:
             i = idx
     heads = [c.head for c in comps]
-    x_hi = r.assignment[heads[i]]
-    if m.mass(x_hi) < (tau + 2) * epsilon:
-        return Stuck.make(
-            "spire-blocked",
-            {
-                "reason": "chosen head class too light to grow a spire",
-                "head": str(heads[i]),
-                "mass": format_rational(m.mass(x_hi)),
-            },
-        )
-    grown = grow_spire(g, m, x_hi, tau, epsilon, x1_rng=x1_rng)
+    grown = grow_spire(g, m, r.assignment[heads[i]], tau, epsilon, x1_rng=x1_rng)
     if not isinstance(grown, Spire):
         return grown
 

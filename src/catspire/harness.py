@@ -160,51 +160,46 @@ def _generate_regular(rng: np.random.Generator, n: int, d: int) -> Graph:
     )
 
 
-def _short_cycle_edge(g: Graph, bound: int) -> Optional[Tuple[int, int, int]]:
-    """(length, u, w) for a shortest cycle when below bound, scanning roots
-    ascending; (u, w) is the closing edge found first at that length."""
-    best: Optional[Tuple[int, int, int]] = None
-    radius = (bound - 1) // 2 + 1
-    for root in range(g.n):
-        dist = {root: 0}
-        parent = {root: root}
-        frontier = [root]
-        depth = 0
-        while frontier and depth < radius:
-            nxt: List[int] = []
-            for u in frontier:
-                scan = g.adj(u)
-                while scan:
-                    low = scan & -scan
-                    w = low.bit_length() - 1
-                    scan ^= low
-                    if w == parent[u]:
-                        continue
-                    if w in dist:
-                        length = dist[u] + dist[w] + 1
-                        if length < bound and (best is None or length < best[0]):
-                            best = (length, u, w)
-                    else:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        nxt.append(w)
-            frontier = nxt
-            depth += 1
-    return best
+def _closing_edge(adj: List[int], root: int, length: int) -> Optional[Tuple[int, int]]:
+    """The first edge (u, w) with dist(u) + dist(w) + 1 == length, breadth
+    first from root with neighbours by ascending id.  With no cycle shorter
+    than length, that is the first closing edge of a length-cycle through
+    root.  A tree edge gives 2*depth < length, so no parent map is needed."""
+    dist = {root: 0}
+    frontier = [root]
+    for depth in range((length + 1) // 2):
+        nxt: List[int] = []
+        for u in frontier:
+            scan = adj[u]
+            while scan:
+                low = scan & -scan
+                w = low.bit_length() - 1
+                scan ^= low
+                if w not in dist:
+                    dist[w] = depth + 1
+                    nxt.append(w)
+                elif depth + dist[w] + 1 == length:
+                    return u, w
+        frontier = nxt
+    return None
 
 
 def _generate_high_girth(
     rng: np.random.Generator, n: int, prob: Fraction, girth: int
 ) -> Graph:
-    # drop the closing edge of a shortest short cycle until none is left
-    edges = set(_gnp_edges(rng, n, prob))
-    while True:
-        g = Graph(n, edges)
-        hit = _short_cycle_edge(g, girth)
-        if hit is None:
-            return g
-        _, u, w = hit
-        edges.remove((min(u, w), max(u, w)))
+    # shortest cycles first, least root first, first closing edge first.
+    # Dropping edges lowers no girth and puts no root on a new cycle, so one
+    # ascending sweep of the roots per length finds every edge to drop.
+    edges = _gnp_edges(rng, n, prob)
+    g = Graph(n, edges)
+    adj = [g.adj(v) for v in range(n)]
+    for length in range(3, girth):
+        for root in range(n):
+            while (hit := _closing_edge(adj, root, length)) is not None:
+                u, w = hit
+                adj[u] ^= 1 << w
+                adj[w] ^= 1 << u
+    return Graph(n, [(u, w) for u, w in edges if adj[u] >> w & 1])
 
 
 def _generate_caterpillar(spine: int, legs: Sequence[Tuple[int, int]]) -> Graph:

@@ -437,14 +437,14 @@ def test_improve_preconditions():
         improve(host, CardinalityMass(31), fake, Fraction(1, 100), Fraction(1, 1000))
 
 
-def test_improve_stuck_on_light_head():
+def test_improve_rejects_a_light_head():
+    # a head class below (tau+2)*epsilon fails no valid realization's check
+    # at kappa >= 2*kappa_next + (tau+2)*epsilon, so it is a precondition error
     g = path_graph(100)
     nursery = Nursery(3, (Chrysalis(3, 0, {}), Chrysalis(3, 1, {})), (0, 1))
     r = Realization(nursery, {0: VertexSet([0]), 1: VertexSet([1])}, {}, Fraction(1, 2))
-    out = improve(g, CardinalityMass(100), r, Fraction(1, 5), Fraction(1, 50))
-    assert isinstance(out, Stuck)
-    assert out.stage == "spire-blocked"
-    assert out.diag_dict()["reason"] == "chosen head class too light to grow a spire"
+    with pytest.raises(ValueError, match=r"grow_spire needs mass\(x\) >= \(tau\+2\)\*epsilon"):
+        improve(g, CardinalityMass(100), r, Fraction(1, 5), Fraction(1, 50))
 
 
 def test_improve_outside_the_neighbourhood_axiom_leaves_a_light_head():

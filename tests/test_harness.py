@@ -3,10 +3,12 @@
 import hashlib
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from catspire.engine import EngineParams
+from catspire.graphs import Graph
 from catspire.harness import (
     BatchReport,
     BatchVerificationError,
@@ -142,28 +144,67 @@ def test_regular_matches_the_pair_by_pair_check():
                 assert generate(spec).edges() == expected, spec
 
 
-def test_high_girth_has_no_short_cycles():
-    g = generate(GenSpec("high_girth", n=40, probability=Fraction(1, 8), girth=5, seed=11))
-    # Every edge lies on no cycle shorter than the target: removing it leaves
-    # the endpoints at distance >= girth - 1.
-    for u, v in g.edges():
-        dist = {u: 0}
-        frontier = [u]
-        while frontier:
+def _short_cycle_edge(g, bound):
+    """(length, u, w) for a shortest cycle when below bound, scanning roots
+    ascending; (u, w) is the closing edge found first at that length."""
+    best = None
+    radius = (bound - 1) // 2 + 1
+    for root in range(g.n):
+        dist = {root: 0}
+        parent = {root: root}
+        frontier = [root]
+        depth = 0
+        while frontier and depth < radius:
             nxt = []
-            for w in frontier:
-                scan = g.adj(w)
+            for u in frontier:
+                scan = g.adj(u)
                 while scan:
                     low = scan & -scan
-                    x = low.bit_length() - 1
+                    w = low.bit_length() - 1
                     scan ^= low
-                    if (w, x) in ((u, v), (v, u)):
+                    if w == parent[u]:
                         continue
-                    if x not in dist:
-                        dist[x] = dist[w] + 1
-                        nxt.append(x)
+                    if w in dist:
+                        length = dist[u] + dist[w] + 1
+                        if length < bound and (best is None or length < best[0]):
+                            best = (length, u, w)
+                    else:
+                        dist[w] = dist[u] + 1
+                        parent[w] = u
+                        nxt.append(w)
             frontier = nxt
-        assert dist.get(v, 99) >= 4, (u, v)
+            depth += 1
+    return best
+
+
+def _rescan_high_girth(n, prob, girth, seed):
+    """Rebuild the graph and rescan every root after each dropped edge: the
+    reference for the one-sweep-per-length generator."""
+    edges = set(generate(GenSpec("gnp", n=n, probability=prob, seed=seed)).edges())
+    while True:
+        g = Graph(n, edges)
+        hit = _short_cycle_edge(g, girth)
+        if hit is None:
+            return g
+        _, u, w = hit
+        edges.remove((min(u, w), max(u, w)))
+
+
+def test_high_girth_matches_the_rescan_loop():
+    for n in (1, 2, 5, 9, 14, 20):
+        for prob in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(1)):
+            for girth in range(3, 8):
+                seed = n * 1000 + girth
+                spec = GenSpec("high_girth", n=n, probability=prob, girth=girth, seed=seed)
+                assert generate(spec) == _rescan_high_girth(n, prob, girth, seed), spec
+
+
+def test_high_girth_has_no_short_cycles():
+    for n, prob, girth, seed in (
+        (40, Fraction(1, 8), 5, 11), (60, Fraction(1, 10), 4, 0), (250, Fraction(1, 125), 5, 33)
+    ):
+        g = generate(GenSpec("high_girth", n=n, probability=prob, girth=girth, seed=seed))
+        assert nx.girth(nx.Graph(g.edges())) >= girth
 
 
 def test_caterpillar_generator_matches_hook():

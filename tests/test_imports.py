@@ -1,7 +1,7 @@
 """Import and parameter hygiene, checked with the standard library's ast:
 every name a package module imports is used in that module, every
-parameter is read in its function's body, and every public name
-resolves."""
+parameter is read in its function's body, no module reads another
+module's private attributes, and every public name resolves."""
 
 import ast
 from pathlib import Path
@@ -92,6 +92,53 @@ def test_every_import_in_the_package_is_used():
         if (found := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def _foreign_private_reads(source: str):
+    """(line, attribute) for each single-underscore attribute the module reads
+    but does not define.  Defining is self._x = ..., a __slots__ entry, a
+    def, a class or an assignment."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            defined.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+        ):
+            defined |= {c.value for c in ast.walk(node.value)
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return sorted(
+        (node.lineno, node.attr) for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_") and not node.attr.endswith("__")
+        and node.attr not in defined
+    )
+
+
+def test_foreign_private_reads_are_detected():
+    source = (
+        "class G:\n    __slots__ = ('_adj',)\n\n"
+        "class H:\n    def __init__(self):\n        self._memo = {}\n\n"
+        "    def _walk(self):\n        return self._memo, self._walk, self.__class__\n\n"
+        "def f(g, h):\n    g._adj[0] ^= 1\n    h._cache = {}\n"
+        "    return h._cache, Fraction._normalize\n"
+    )
+    assert _foreign_private_reads(source) == [(14, "_cache"), (14, "_normalize")]
+
+
+def test_no_module_reads_a_foreign_private_attribute():
+    found = {
+        path.name: reads
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (reads := _foreign_private_reads(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
 
 
 def test_every_public_name_resolves():
