@@ -5,7 +5,7 @@ chi-split (certify under chromatic mass, reporting chi(G) and
 epsilon*chi(G)), gen, and batch.  Exit codes: 0 success / verified witness,
 1 failed verification, 2 honest Stuck, 64 usage or domain errors, 66
 unreadable or malformed input files, 70 theorem violation (a replay bundle
-is written).
+is written), 71 out of memory.
 
 Rationals are exact "p/q" strings everywhere; decimals are rejected.
 """
@@ -47,6 +47,7 @@ EX_STUCK = 2
 EX_USAGE = 64
 EX_IO = 66
 EX_INTERNAL = 70
+EX_OSERR = 71
 
 REPLAY_BUNDLE = "catspire-replay.json"
 
@@ -320,6 +321,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: theorem violation: {ex}", file=sys.stderr)
         _write_replay(getattr(ex, "replay", {"message": str(ex)}))
         return EX_INTERNAL
+    except MemoryError:
+        print("error: out of memory; the input is too large for the memory this process may use",
+              file=sys.stderr)
+        return EX_OSERR
     except ParseError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EX_IO

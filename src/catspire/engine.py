@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from .graphs import (
     Graph,
     VertexSet,
+    bits,
     components,
     connected_order,
     is_connected,
@@ -308,15 +309,9 @@ def grow_spire(
         z_next = big_piece(g, m, y, epsilon)
         if isinstance(z_next, AnticompletePair):
             return z_next
-        cand = None
-        scan = g.adj(xs[-1]) & z_cur.mask
-        while scan:
-            low = scan & -scan
-            v = low.bit_length() - 1
-            if g.adj(v) & z_next.mask:
-                cand = v
-                break
-            scan ^= low
+        cand = next(
+            (v for v in bits(g.adj(xs[-1]) & z_cur.mask) if g.adj(v) & z_next.mask), None
+        )
         if cand is None:
             return Stuck.make(
                 "spire-blocked",
@@ -599,7 +594,7 @@ def _host_paths(g: Graph, r: Realization, comp: Chrysalis) -> VertexSet:
             raise ValueError(
                 f"class of spine vertex {v} has no neighbour of the previous pick"
             )
-        prev = (options & -options).bit_length() - 1
+        prev = VertexSet.from_mask(options).least()
         picks[v] = prev
 
     host = 0

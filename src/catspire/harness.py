@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .engine import EngineParams, TheoremViolation, run_trichotomy
-from .graphs import Graph
+from .graphs import Graph, bits
 from .mass import CardinalityMass
 from .oracles import verify_witness
 from .trees import CaterpillarTree
@@ -170,11 +170,7 @@ def _closing_edge(adj: List[int], root: int, length: int) -> Optional[Tuple[int,
     for depth in range((length + 1) // 2):
         nxt: List[int] = []
         for u in frontier:
-            scan = adj[u]
-            while scan:
-                low = scan & -scan
-                w = low.bit_length() - 1
-                scan ^= low
+            for w in bits(adj[u]):
                 if w not in dist:
                     dist[w] = depth + 1
                     nxt.append(w)

@@ -15,7 +15,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, VertexSet
+from .graphs import UNPACK_MIN_MEMBERS, Graph, VertexSet, bits, unpack
 from .oracles import DEFAULT_CHROMATIC_LIMIT, exact_chromatic_number
 
 
@@ -46,21 +46,14 @@ class CardinalityMass(MassProvider):
         return Fraction(len(x), self.n)
 
 
-# Members from which an int64 dot product over the unpacked mask beats
-# walking the mask's low bits.  The crossover measured 25 to 30 members at
-# every n from 512 to 40960: the dot product costs O(n), and so does each
-# low-bit step, which copies the n-bit mask.
-_VECTOR_MIN_MEMBERS = 32
-
-
 class WeightedMass(MassProvider):
     """mass(X) = weight(X) / weight(V) with nonnegative rational weights.
 
     Weights are stored as integers over a common denominator so subset sums
-    stay in integer arithmetic.  From _VECTOR_MIN_MEMBERS members on, the
-    unit sum is an int64 dot product, which is exact while the total of the
-    units is below 2^63; above that total every sum walks the members in
-    Python ints.
+    stay in integer arithmetic.  From graphs.UNPACK_MIN_MEMBERS members on,
+    the unit sum is an int64 dot product over the unpacked mask, which is
+    exact while the total of the units is below 2^63; above that total every
+    sum adds the members' units in Python ints.
     """
 
     def __init__(self, weights: Sequence[Fraction]) -> None:
@@ -83,15 +76,13 @@ class WeightedMass(MassProvider):
         mask = x.mask
         if (
             self._unit_array is not None
-            and mask.bit_count() >= _VECTOR_MIN_MEMBERS
+            and mask.bit_count() >= UNPACK_MIN_MEMBERS
             and mask.bit_length() <= self.n
         ):
-            packed = np.frombuffer(mask.to_bytes((self.n + 7) // 8, "little"), np.uint8)
-            bits = np.unpackbits(packed, count=self.n, bitorder="little")
-            return Fraction(int(bits @ self._unit_array), self._total)
+            return Fraction(int(unpack(mask, self.n) @ self._unit_array), self._total)
         acc = 0
         units = self._units
-        for v in x:
+        for v in bits(mask):
             acc += units[v]
         return Fraction(acc, self._total)
 

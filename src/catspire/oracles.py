@@ -1,9 +1,12 @@
 """Independent brute-force ground truth: induced embeddings, best anticomplete
 pairs, exact chromatic numbers, and the witness verifier.
 
-Nothing here shares code with the engine; these are the referees.  All
-searches are deterministic and return lexicographic extremes so their
-outputs can be frozen into tests.
+These are the referees.  Of the package they use only the witness classes
+and, from catspire.graphs, Graph, VertexSet, bits, neighbour_mask,
+neighbours and is_anticomplete; the reference test
+tests/test_graphs.py::test_bits_matches_a_per_bit_scan pins bits, the one
+member walk, against a plain per-bit scan.  All searches are deterministic
+and return lexicographic extremes so their outputs can be frozen into tests.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .graphs import Graph, VertexSet, is_anticomplete, neighbours
+from .graphs import Graph, VertexSet, bits, is_anticomplete, neighbour_mask, neighbours
 from .witnesses import (
     AnticompletePair,
     HighMassNeighbourhood,
@@ -61,7 +64,8 @@ def brute_induced_embedding(
     if k == 0:
         return ()
 
-    t_adj = [t.adj(i) for i in range(k)]
+    host = [(c, g.adj(c)) for c in bits(allowed)]
+    earlier = [bits(t.adj(i) & ((1 << i) - 1)) for i in range(k)]
     images: List[int] = []
     used = 0
     nodes = 0
@@ -69,20 +73,9 @@ def brute_induced_embedding(
     def candidates(i: int) -> List[int]:
         # required adjacency pattern against already-placed vertices
         req = 0
-        earlier = t_adj[i] & ((1 << i) - 1)
-        while earlier:
-            low = earlier & -earlier
-            req |= 1 << images[low.bit_length() - 1]
-            earlier ^= low
-        out = []
-        pool = allowed & ~used
-        while pool:
-            low = pool & -pool
-            c = low.bit_length() - 1
-            if g.adj(c) & used == req:
-                out.append(c)
-            pool ^= low
-        return out
+        for j in earlier[i]:
+            req |= 1 << images[j]
+        return [c for c, adj in host if adj & used == req and not used >> c & 1]
 
     def search(i: int) -> bool:
         nonlocal used, nodes
@@ -121,13 +114,7 @@ def brute_best_anticomplete(g: Graph) -> Tuple[VertexSet, VertexSet]:
     best_size = None
     best_pair = None
     for a_mask in range(1, full + 1):
-        closed = a_mask
-        rest = a_mask
-        while rest:
-            low = rest & -rest
-            closed |= g.adj(low.bit_length() - 1)
-            rest ^= low
-        b_mask = full & ~closed
+        b_mask = full & ~(a_mask | neighbour_mask(g, a_mask))
         if not b_mask:
             continue
         sa, sb = a_mask.bit_count(), b_mask.bit_count()
@@ -153,7 +140,7 @@ def exact_chromatic_number(g: Graph, within: Optional[VertexSet] = None) -> int:
     copying it.
     """
     mask = within.mask if within is not None else (1 << g.n) - 1
-    verts = list(VertexSet.from_mask(mask))
+    verts = bits(mask)
     k = len(verts)
     if k > DEFAULT_CHROMATIC_LIMIT:
         raise ValueError(f"exact coloring limited to {DEFAULT_CHROMATIC_LIMIT} vertices, got {k}")
@@ -163,11 +150,8 @@ def exact_chromatic_number(g: Graph, within: Optional[VertexSet] = None) -> int:
     # local adjacency over positions 0..k-1
     adj = [0] * k
     for i, v in enumerate(verts):
-        nb = g.adj(v) & mask
-        while nb:
-            low = nb & -nb
-            adj[i] |= 1 << idx[low.bit_length() - 1]
-            nb ^= low
+        for w in bits(g.adj(v) & mask):
+            adj[i] |= 1 << idx[w]
     deg = [a.bit_count() for a in adj]
 
     full = (1 << k) - 1
@@ -177,14 +161,10 @@ def exact_chromatic_number(g: Graph, within: Optional[VertexSet] = None) -> int:
     clique = 0
     while cand:
         pick, pick_deg = -1, -1
-        p = cand
-        while p:
-            low = p & -p
-            i = low.bit_length() - 1
+        for i in bits(cand):
             d = (adj[i] & cand).bit_count()
             if d > pick_deg:
                 pick, pick_deg = i, d
-            p ^= low
         clique += 1
         cand &= adj[pick]
     lower = clique
@@ -194,23 +174,16 @@ def exact_chromatic_number(g: Graph, within: Optional[VertexSet] = None) -> int:
     def taken_colours(i: int, colored_mask: int) -> int:
         # bit c is set when some coloured neighbour of i has colour c
         taken = 0
-        nb = adj[i] & colored_mask
-        while nb:
-            low = nb & -nb
-            taken |= 1 << color[low.bit_length() - 1]
-            nb ^= low
+        for j in bits(adj[i] & colored_mask):
+            taken |= 1 << color[j]
         return taken
 
     def dsatur_pick(colored_mask: int) -> int:
         best_i, best_key = -1, None
-        p = full & ~colored_mask
-        while p:
-            low = p & -p
-            i = low.bit_length() - 1
+        for i in bits(full & ~colored_mask):
             key = (taken_colours(i, colored_mask).bit_count(), deg[i], -i)
             if best_key is None or key > best_key:
                 best_i, best_key = i, key
-            p ^= low
         return best_i
 
     best = k + 1

@@ -358,3 +358,17 @@ def test_theorem_violation_writes_replay(tmp_path, capsys, monkeypatch, hook_fil
     assert replay["message"] == "fabricated failure"
     assert replay["graph"] == serialize_edge_list(path_graph(6))
     assert replay["params"]["tau"] == 3
+
+
+def test_out_of_memory_exits_71(tmp_path, capsys, monkeypatch, hook_file):
+    g = _graph_file(tmp_path, "g.txt", path_graph(6))
+
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("catspire.cli.run_trichotomy", exhaust)
+    assert main(["certify", "--graph", g, "--tree", hook_file]) == 71
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory")
+    assert captured.err.count("\n") == 1

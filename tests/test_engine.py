@@ -251,6 +251,22 @@ def test_big_piece_pivot_against_rest():
     assert out == AnticompletePair(VertexSet([5, 6, 7]), VertexSet([0, 1, 2, 3, 4, 8, 9]))
 
 
+def test_big_piece_suffix_at_exactly_epsilon_splits():
+    # components {0, 1}, {2}, {3}; the least prefix reaching 1/3 is {0, 1, 2}
+    # and the suffix {3} has mass exactly 1/3
+    g = Graph(4, [(0, 1)])
+    out = big_piece(g, WeightedMass([0, 0, 2, 1]), VertexSet(range(4)), Fraction(1, 3))
+    assert out == AnticompletePair(VertexSet([0, 1, 2]), VertexSet([3]))
+
+
+def test_big_piece_rest_at_exactly_epsilon_splits():
+    # components {0, 1, 2}, {3, 4}, {5}; the suffix {5} is light, and the rest
+    # of the pivot {3, 4} has mass exactly 1/3
+    g = Graph(6, [(0, 1), (1, 2), (3, 4)])
+    out = big_piece(g, WeightedMass([1, 0, 0, 2, 2, 1]), VertexSet(range(6)), Fraction(1, 3))
+    assert out == AnticompletePair(VertexSet([3, 4]), VertexSet([0, 1, 2, 5]))
+
+
 # ------------------------------------------------------------- spire growth
 
 
@@ -522,6 +538,15 @@ def test_run_trichotomy_axiom_witnesses():
     out = run_trichotomy(g, CardinalityMass(100), hook, params, trace=trace)
     assert out == HighMassNeighbourhood(0)
     assert [t["stage"] for t in trace] == ["axiom-2", "verified"]
+
+
+def test_run_trichotomy_neighbourhood_at_exactly_epsilon():
+    # every vertex has mass 1/10 < 1/5; the neighbourhood {0, 2} of vertex 1
+    # is the first to reach 1/5, with equality
+    hook = CaterpillarTree(hook_graph())
+    params = EngineParams(3, Fraction(1, 5), 2)
+    out = run_trichotomy(path_graph(10), CardinalityMass(10), hook, params)
+    assert out == HighMassNeighbourhood(1)
 
 
 def test_run_trichotomy_anticomplete_on_long_path():

@@ -4,13 +4,15 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from catspire.engine import Spire, validate_spire
 from catspire.graphs import (
+    UNPACK_MIN_MEMBERS,
     Graph,
     VertexSet,
+    bits,
     components,
     connected_order,
     is_anticomplete,
@@ -176,6 +178,29 @@ def test_shortest_path_frozen():
 
 
 # ------------------------------------------------- networkx cross-check
+
+
+@st.composite
+def masks(draw):
+    """A mask of 1 to 41000 bits whose popcount falls on either side of
+    UNPACK_MIN_MEMBERS."""
+    width = draw(st.one_of(st.integers(1, 100), st.integers(100, 41_000)))
+    near = st.sampled_from([0, UNPACK_MIN_MEMBERS - 1, UNPACK_MIN_MEMBERS, UNPACK_MIN_MEMBERS + 1])
+    count = min(width, draw(st.one_of(near, st.integers(0, width))))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return sum(1 << i for i in rng.sample(range(width), count))
+
+
+@settings(max_examples=100, deadline=None)
+@given(masks())
+@example(0)
+@example((1 << 31) - 1)
+@example((1 << 32) - 1)
+@example((1 << 33) - 1)
+@example(1 << 40_960)
+@example((1 << 40_961) - 1)
+def test_bits_matches_a_per_bit_scan(mask):
+    assert bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 @st.composite

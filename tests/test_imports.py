@@ -1,7 +1,8 @@
 """Import and parameter hygiene, checked with the standard library's ast:
 every name a package module imports is used in that module, every
 parameter is read in its function's body, no module reads another
-module's private attributes, and every public name resolves."""
+module's private attributes, graphs.bits is the package's only low-bit
+member walk, and every public name resolves."""
 
 import ast
 from pathlib import Path
@@ -139,6 +140,56 @@ def test_no_module_reads_a_foreign_private_attribute():
         if (reads := _foreign_private_reads(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def _low_bit_walks(source: str):
+    """(line, function) for each while loop that takes x & -x and also does
+    x ^= ... on the same name x, named by its innermost function."""
+    def lowest_of(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd):
+            for a, b in ((node.left, node.right), (node.right, node.left)):
+                if (isinstance(a, ast.Name) and isinstance(b, ast.UnaryOp)
+                        and isinstance(b.op, ast.USub) and isinstance(b.operand, ast.Name)
+                        and b.operand.id == a.id):
+                    return a.id
+        return None
+
+    found = {}
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for loop in ast.walk(fn):
+            if not isinstance(loop, ast.While):
+                continue
+            nodes = list(ast.walk(loop))
+            lowest = {lowest_of(n) for n in nodes} - {None}
+            xored = {n.target.id for n in nodes if isinstance(n, ast.AugAssign)
+                     and isinstance(n.op, ast.BitXor) and isinstance(n.target, ast.Name)}
+            if lowest & xored:
+                found[loop.lineno] = fn.name  # ast.walk reaches inner functions last
+    return sorted(found.items())
+
+
+def test_low_bit_walks_are_detected():
+    source = (
+        "def walk(m):\n    out = []\n    while m:\n        low = m & -m\n"
+        "        out.append(low)\n        m ^= low\n    return out\n\n"
+        "def peel(rest, flood):\n    while rest:\n        rest &= ~flood(rest & -rest)\n\n"
+        "def least(m):\n    return (m & -m).bit_length() - 1\n\n"
+        "def outer(a, b):\n    def inner(p):\n        while p:\n            q = -p & p\n"
+        "            p ^= q\n    while a:\n        low = a & -a\n        b ^= low\n"
+        "        a -= low\n"
+    )
+    assert _low_bit_walks(source) == [(3, "walk"), (18, "inner")]
+
+
+def test_bits_is_the_only_low_bit_walk():
+    found = {
+        path.name: [name for _, name in walks]
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (walks := _low_bit_walks(path.read_text(encoding="utf-8")))
+    }
+    assert found == {"graphs.py": ["bits"]}
 
 
 def test_every_public_name_resolves():

@@ -5,9 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from catspire.graphs import Graph, VertexSet
+from catspire.graphs import UNPACK_MIN_MEMBERS, Graph, VertexSet
 from catspire.mass import (
-    _VECTOR_MIN_MEMBERS,
     CardinalityMass,
     ChromaticMass,
     MassProvider,
@@ -54,7 +53,7 @@ def test_weighted_mass_vector_sum_matches_member_walk():
     n = 300
     weights = [Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 7))) for _ in range(n)]
     m = WeightedMass(weights)
-    sizes = (0, 1, _VECTOR_MIN_MEMBERS - 1, _VECTOR_MIN_MEMBERS, _VECTOR_MIN_MEMBERS + 1, n // 2, n)
+    sizes = (0, 1, UNPACK_MIN_MEMBERS - 1, UNPACK_MIN_MEMBERS, UNPACK_MIN_MEMBERS + 1, n // 2, n)
     for size in sizes:
         for _ in range(20):
             members = rng.sample(range(n), size)
@@ -65,11 +64,11 @@ def test_weighted_mass_stays_exact_past_int64():
     # a unit total of exactly 2^63 - 1 still fits int64; 2^63 does not, and
     # an int64 sum of those units would wrap
     for total in ((1 << 63) - 1, 1 << 63, 1 << 70):
-        n = 2 * _VECTOR_MIN_MEMBERS
+        n = 2 * UNPACK_MIN_MEMBERS
         weights = [total // n] * (n - 1)
         weights.append(total - sum(weights))
         m = WeightedMass(weights)
-        for members in (range(n), range(0, n, 2), range(n - _VECTOR_MIN_MEMBERS, n)):
+        for members in (range(n), range(0, n, 2), range(n - UNPACK_MIN_MEMBERS, n)):
             assert m.mass(VertexSet(members)) == _member_walk(weights, members)
         assert m.mass(VertexSet(range(n))) == 1
 
