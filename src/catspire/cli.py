@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 from .engine import EngineParams, TheoremViolation, run_trichotomy
 from .formats import ParseError, parse_graph, parse_weights, serialize_edge_list
 from .graphs import Graph
-from .harness import MODELS, BatchVerificationError, GenSpec, generate, run_batch
+from .harness import MODELS, GenSpec, generate, run_batch
 from .mass import CardinalityMass, ChromaticMass, MassProvider, WeightedMass
 from .oracles import (
     NodeLimitExceeded,
@@ -113,7 +113,7 @@ def _certify(args: argparse.Namespace) -> Tuple[MassProvider, EngineParams, Witn
     try:
         w = run_trichotomy(g, m, t, params, trace=trace, x1_rng=rng)
     except TheoremViolation as ex:
-        ex.replay = {  # type: ignore[attr-defined]
+        ex.replay = {
             "message": str(ex),
             "graph": serialize_edge_list(g),
             "tree": serialize_edge_list(t.tree),
@@ -313,13 +313,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return ex.code if isinstance(ex.code, int) else EX_USAGE
     try:
         return args.func(args)
-    except BatchVerificationError as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        _write_replay(ex.replay)
-        return EX_INTERNAL
     except TheoremViolation as ex:
         print(f"error: theorem violation: {ex}", file=sys.stderr)
-        _write_replay(getattr(ex, "replay", {"message": str(ex)}))
+        _write_replay(ex.replay or {"message": str(ex)})
         return EX_INTERNAL
     except MemoryError:
         print("error: out of memory; the input is too large for the memory this process may use",

@@ -61,7 +61,13 @@ from .witnesses import (
 
 
 class TheoremViolation(RuntimeError):
-    """A step the proof guarantees has failed; the run is not trustworthy."""
+    """A step the proof guarantees has failed; the run is not trustworthy.
+
+    replay is the document that reproduces the run; the caller that knows
+    the instance fills it in.
+    """
+
+    replay: Optional[dict] = None
 
 
 def paper_p(tau: int) -> int:
@@ -142,8 +148,9 @@ class EngineParams:
 
     @property
     def guarantee(self) -> bool:
-        proven_p = paper_p(self.tau)
-        return self.p >= proven_p and _feasible(self.epsilon, proven_p, self.tau)
+        """p >= 2^(tau^2), the proven p, and the schedule is feasible at p."""
+        proven = self.p.bit_length() > self.tau * self.tau
+        return proven and _feasible(self.epsilon, self.p, self.tau)
 
 
 @dataclass(frozen=True)

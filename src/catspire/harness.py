@@ -6,18 +6,21 @@ made by exact integer draws so that a rational edge probability is honored
 exactly.  Same spec, same graph, on any platform.
 
 run_batch drives run_trichotomy over a spec list, re-verifies every witness
-against the oracle checker, and aggregates variant counts and timing
-percentiles.  A verification failure aborts the batch and carries a replay
-document naming the exact instance.
+against the oracle checker, and reports each trial's variant and time; the
+report derives variant counts, the stuck rate and timing percentiles from
+those results.  A theorem violation, raised by the engine or by a failed
+re-verification, aborts the batch and carries a replay document naming the
+exact instance.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -160,7 +163,7 @@ def _generate_regular(rng: np.random.Generator, n: int, d: int) -> Graph:
     )
 
 
-def _closing_edge(adj: List[int], root: int, length: int) -> Optional[Tuple[int, int]]:
+def _closing_edge(adj: List[List[int]], root: int, length: int) -> Optional[Tuple[int, int]]:
     """The first edge (u, w) with dist(u) + dist(w) + 1 == length, breadth
     first from root with neighbours by ascending id.  With no cycle shorter
     than length, that is the first closing edge of a length-cycle through
@@ -170,7 +173,7 @@ def _closing_edge(adj: List[int], root: int, length: int) -> Optional[Tuple[int,
     for depth in range((length + 1) // 2):
         nxt: List[int] = []
         for u in frontier:
-            for w in bits(adj[u]):
+            for w in adj[u]:
                 if w not in dist:
                     dist[w] = depth + 1
                     nxt.append(w)
@@ -188,14 +191,14 @@ def _generate_high_girth(
     # ascending sweep of the roots per length finds every edge to drop.
     edges = _gnp_edges(rng, n, prob)
     g = Graph(n, edges)
-    adj = [g.adj(v) for v in range(n)]
+    adj = [bits(g.adj(v)) for v in range(n)]
     for length in range(3, girth):
         for root in range(n):
             while (hit := _closing_edge(adj, root, length)) is not None:
                 u, w = hit
-                adj[u] ^= 1 << w
-                adj[w] ^= 1 << u
-    return Graph(n, [(u, w) for u, w in edges if adj[u] >> w & 1])
+                adj[u].remove(w)
+                adj[w].remove(u)
+    return Graph(n, [(u, w) for u, w in edges if w in adj[u]])
 
 
 def _generate_caterpillar(spine: int, legs: Sequence[Tuple[int, int]]) -> Graph:
@@ -222,14 +225,6 @@ def generate(spec: GenSpec) -> Graph:
     return _generate_caterpillar(spec.spine, spec.legs)
 
 
-class BatchVerificationError(RuntimeError):
-    """A witness failed verification; .replay identifies the instance."""
-
-    def __init__(self, message: str, replay: dict) -> None:
-        super().__init__(message)
-        self.replay = replay
-
-
 @dataclass(frozen=True)
 class TrialResult:
     trial: int
@@ -240,11 +235,20 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class BatchReport:
-    trials: int
-    counts: Dict[str, int] = field(default_factory=dict)
-    stuck_rate: Fraction = Fraction(0)
-    total_seconds: float = 0.0
     results: Tuple[TrialResult, ...] = ()
+    total_seconds: float = 0.0
+
+    @property
+    def trials(self) -> int:
+        return len(self.results)
+
+    @property
+    def counts(self) -> Counter[str]:
+        return Counter(r.variant for r in self.results)
+
+    @property
+    def stuck_rate(self) -> Fraction:
+        return Fraction(self.counts["stuck"], self.trials) if self.trials else Fraction(0)
 
     def percentile(self, q: int) -> float:
         xs = sorted(r.seconds for r in self.results)
@@ -277,9 +281,10 @@ class BatchReport:
 
     def format_table(self) -> str:
         lines = [f"trials: {self.trials}"]
-        width = max((len(tag) for tag in self.counts), default=0)
-        for tag in sorted(self.counts):
-            lines.append(f"  {tag.ljust(width)}  {self.counts[tag]}")
+        counts = self.counts
+        width = max((len(tag) for tag in counts), default=0)
+        for tag in sorted(counts):
+            lines.append(f"  {tag.ljust(width)}  {counts[tag]}")
         lines.append(f"stuck rate: {format_rational(self.stuck_rate)}")
         lines.append(
             "timing seconds: "
@@ -303,9 +308,7 @@ def run_batch(
         raise ValueError("trials must be >= 0")
     if trials > 0 and not specs:
         raise ValueError("trials > 0 needs at least one spec")
-    counts: Dict[str, int] = {}
     results: List[TrialResult] = []
-    stuck = 0
     started = time.perf_counter()
     for k in range(trials):
         spec = replace(
@@ -327,27 +330,15 @@ def run_batch(
         try:
             w = run_trichotomy(g, m, t, params)
         except TheoremViolation as ex:
-            raise BatchVerificationError(
-                f"trial {k}: {ex}", _replay(None, [str(ex)])
-            ) from ex
+            ex.replay = _replay(None, [str(ex)])
+            raise
         seconds = time.perf_counter() - begun
-        if isinstance(w, Stuck):
-            stuck += 1
-        else:
+        if not isinstance(w, Stuck):
             report = verify_witness(g, m, t, params.epsilon, w)
             if not report.ok:
-                doc = witness_document(g, m, w, params, report.verdict)
-                raise BatchVerificationError(
-                    f"trial {k}: witness failed verification",
-                    _replay(doc, list(report.problems)),
-                )
-        tag = variant_tag(w)
-        counts[tag] = counts.get(tag, 0) + 1
-        results.append(TrialResult(k, spec, tag, seconds))
-    return BatchReport(
-        trials=trials,
-        counts=counts,
-        stuck_rate=Fraction(stuck, trials) if trials else Fraction(0),
-        total_seconds=time.perf_counter() - started,
-        results=tuple(results),
-    )
+                violation = TheoremViolation(f"trial {k}: witness failed verification")
+                violation.replay = _replay(witness_document(g, m, w, params, report.verdict),
+                                           list(report.problems))
+                raise violation
+        results.append(TrialResult(k, spec, variant_tag(w), seconds))
+    return BatchReport(tuple(results), time.perf_counter() - started)

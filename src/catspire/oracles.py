@@ -11,7 +11,6 @@ and return lexicographic extremes so their outputs can be frozen into tests.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -26,19 +25,8 @@ from .witnesses import (
     Witness,
 )
 
-NODE_LIMIT_ENV = "CATSPIRE_ORACLE_NODE_LIMIT"
-DEFAULT_NODE_LIMIT = 10**6
+NODE_LIMIT = 10**6
 DEFAULT_CHROMATIC_LIMIT = 64
-
-
-def default_node_limit() -> int:
-    raw = os.environ.get(NODE_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_NODE_LIMIT
-    limit = int(raw)
-    if limit <= 0:
-        raise ValueError(f"{NODE_LIMIT_ENV} must be positive, got {raw!r}")
-    return limit
 
 
 class NodeLimitExceeded(RuntimeError):
@@ -53,10 +41,8 @@ def brute_induced_embedding(
     Returns the images of t's vertices in order, or None when there is no
     embedding.  Candidates are tried in ascending id order, optionally
     restricted to the `within` set.  A node is one attempted (target vertex,
-    candidate) assignment; exceeding default_node_limit() raises
-    NodeLimitExceeded.
+    candidate) assignment; exceeding NODE_LIMIT raises NodeLimitExceeded.
     """
-    budget = default_node_limit()
     k = t.n
     allowed = within.mask if within is not None else (1 << g.n) - 1
     if k > allowed.bit_count():
@@ -83,8 +69,8 @@ def brute_induced_embedding(
             return True
         for c in candidates(i):
             nodes += 1
-            if nodes > budget:
-                raise NodeLimitExceeded(f"exceeded {budget} search nodes")
+            if nodes > NODE_LIMIT:
+                raise NodeLimitExceeded(f"exceeded {NODE_LIMIT} search nodes")
             images.append(c)
             used |= 1 << c
             if search(i + 1):

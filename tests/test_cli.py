@@ -2,9 +2,14 @@
 
 import json
 import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import catspire
 from catspire.cli import main
 from catspire.engine import TheoremViolation, paper_epsilon
 from catspire.formats import serialize_edge_list
@@ -216,7 +221,7 @@ def test_oracle_commands(tmp_path, capsys):
 
 
 def test_oracle_node_limit_exit(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CATSPIRE_ORACLE_NODE_LIMIT", "1")
+    monkeypatch.setattr("catspire.oracles.NODE_LIMIT", 1)
     g = _graph_file(tmp_path, "g.txt", path_graph(30))
     t = _graph_file(tmp_path, "t.txt", path_graph(5))
     assert main(["oracle", "embed", "--graph", g, "--tree", t]) == 64
@@ -300,6 +305,29 @@ def test_batch_rejects_wrong_json_types(tmp_path, capsys, change, message):
     assert message in err
 
 
+def test_batch_theorem_violation_writes_replay(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "batch.json", json.dumps(_GOOD_BATCH))
+    monkeypatch.chdir(tmp_path)
+
+    def explode(*args, **kwargs):
+        raise TheoremViolation("fabricated failure")
+
+    monkeypatch.setattr("catspire.harness.run_trichotomy", explode)
+    assert main(["batch", "--spec", path]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: theorem violation: fabricated failure" in captured.err
+    assert "replay bundle written to catspire-replay.json" in captured.err
+    replay = json.loads((tmp_path / "catspire-replay.json").read_text())
+    assert replay == {
+        "trial": 0,
+        "spec": {"model": "gnp", "n": 12, "seed": 0, "probability": "1"},
+        "params": {"tau": 3, "epsilon": "1/10", "p": 2},
+        "witness": None,
+        "problems": ["fabricated failure"],
+    }
+
+
 @pytest.mark.parametrize(
     "doc",
     [[1], {"variant": "stuck", "stage": "axiom", "diagnostics": [1]}],
@@ -372,3 +400,27 @@ def test_out_of_memory_exits_71(tmp_path, capsys, monkeypatch, hook_file):
     assert captured.out == ""
     assert captured.err.startswith("error: out of memory")
     assert captured.err.count("\n") == 1
+
+
+def _cap_address_space():
+    cap = 200 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def test_out_of_memory_in_a_capped_child_exits_71(tmp_path, hook_file):
+    # each of the 60000 bitmask rows spans at least 30000 bits: about 225 MB
+    # of adjacency, so parsing the graph runs out under a 200 MiB cap
+    half = 30000
+    g = _write(tmp_path, "g.txt", f"{2 * half} {half}\n"
+               + "".join(f"{i} {i + half}\n" for i in range(half)))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(catspire.__file__).resolve().parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-m", "catspire.cli", "certify", "--graph", g, "--tree", hook_file,
+         "--epsilon", "1/30000", "--p", "2"],
+        capture_output=True, text=True, env=env, preexec_fn=_cap_address_space, timeout=120,
+    )
+    assert child.returncode == 71
+    assert child.stdout == ""
+    assert child.stderr.startswith("error: out of memory")
+    assert child.stderr.count("\n") == 1

@@ -178,6 +178,16 @@ def test_proven_constants_refused_above_tau_4():
     assert EngineParams(5, max_feasible_epsilon(proven_p, 5), proven_p).guarantee
 
 
+def test_guarantee_builds_no_proven_p():
+    # the proven p at tau = 10^5 would be a 2^(10^10)-bit integer
+    tracemalloc.start()
+    try:
+        assert not EngineParams(10**5, Fraction(1, 100), 2).guarantee
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
 # ------------------------------------------------------------------ spires
 
 
@@ -302,6 +312,19 @@ def test_grow_spire_stuck_on_clique():
     assert isinstance(out, Stuck)
     assert out.stage == "spire-blocked"
     assert out.diag_dict()["reason"] == "remaining mass below 3*epsilon"
+
+
+def test_grow_spire_remaining_mass_at_exactly_three_epsilon_continues():
+    # a star on 0..4 with a path 4..9: removing N(0) leaves mass 6/10 = 3*epsilon,
+    # which is enough to go on; the second step then falls below it
+    g = Graph(10, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9)])
+    out = grow_spire(g, CardinalityMass(10), VertexSet(range(10)), 3, Fraction(1, 5))
+    assert out.stage == "spire-blocked"
+    assert out.diag_dict() == {
+        "reason": "remaining mass below 3*epsilon",
+        "path_so_far": "[0, 4]",
+        "remaining_mass": "2/5",
+    }
 
 
 def test_grow_spire_surfaces_pair():
@@ -695,6 +718,17 @@ def test_run_trichotomy_guarantee_never_stuck():
     hook = CaterpillarTree(hook_graph())
     with pytest.raises(TheoremViolation, match="despite guaranteed parameters"):
         run_trichotomy(path_graph(6), _AllOrNothing(6), hook, EngineParams(3))
+
+
+def test_guarantee_reads_the_schedule_at_the_runs_own_p():
+    # p = 513 is above the proven p = 512, but the proven epsilon is too big
+    # for a schedule of 513 steps, so the run may stick honestly
+    params = EngineParams(3, paper_epsilon(3), 513)
+    assert not params.guarantee
+    assert EngineParams(3).guarantee and EngineParams(4).guarantee
+    hook = CaterpillarTree(hook_graph())
+    out = run_trichotomy(path_graph(6), _AllOrNothing(6), hook, params)
+    assert out.stage == "kappa-schedule-infeasible"
 
 
 def test_explicit_p_past_epsilon_bit_length_names_the_bound():

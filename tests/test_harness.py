@@ -7,11 +7,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from catspire.engine import EngineParams
+from catspire.engine import EngineParams, TheoremViolation
 from catspire.graphs import Graph
 from catspire.harness import (
     BatchReport,
-    BatchVerificationError,
     GenSpec,
     TrialResult,
     generate,
@@ -268,7 +267,7 @@ def test_run_batch_verification_failure_carries_replay(monkeypatch):
         return VerificationReport("fail", ("forced failure",))
 
     monkeypatch.setattr("catspire.harness.verify_witness", always_fail)
-    with pytest.raises(BatchVerificationError, match="trial 0") as exc:
+    with pytest.raises(TheoremViolation, match="trial 0") as exc:
         run_batch([spec], hook, params, trials=2)
     replay = exc.value.replay
     assert replay["trial"] == 0
@@ -278,18 +277,32 @@ def test_run_batch_verification_failure_carries_replay(monkeypatch):
     assert replay["params"] == {"tau": 3, "epsilon": "1/10", "p": 2}
 
 
+def test_run_batch_engine_violation_carries_replay(monkeypatch):
+    spec = GenSpec("gnp", n=12, probability=Fraction(1), seed=4)
+    hook = CaterpillarTree(hook_graph())
+    params = EngineParams(3, Fraction(1, 10), 2)
+
+    def explode(g, m, t, params):
+        raise TheoremViolation("fabricated failure")
+
+    monkeypatch.setattr("catspire.harness.run_trichotomy", explode)
+    with pytest.raises(TheoremViolation, match="fabricated failure") as exc:
+        run_batch([spec], hook, params, trials=2)
+    assert exc.value.replay == {
+        "trial": 0,
+        "spec": spec.to_document(),
+        "params": {"tau": 3, "epsilon": "1/10", "p": 2},
+        "witness": None,
+        "problems": ["fabricated failure"],
+    }
+
+
 def _report_with_seconds(seconds):
     spec = GenSpec("gnp", n=1, probability=Fraction(0))
     results = tuple(
         TrialResult(i, spec, "anticomplete-pair", s) for i, s in enumerate(seconds)
     )
-    return BatchReport(
-        trials=len(results),
-        counts={"anticomplete-pair": len(results)},
-        stuck_rate=Fraction(0),
-        total_seconds=sum(seconds),
-        results=results,
-    )
+    return BatchReport(results=results, total_seconds=sum(seconds))
 
 
 def test_percentile_nearest_rank():
@@ -303,9 +316,6 @@ def test_percentile_nearest_rank():
 def test_report_table_and_document():
     spec = GenSpec("gnp", n=1, probability=Fraction(0))
     report = BatchReport(
-        trials=2,
-        counts={"stuck": 1, "anticomplete-pair": 1},
-        stuck_rate=Fraction(1, 2),
         total_seconds=0.5,
         results=(
             TrialResult(0, spec, "anticomplete-pair", 0.1),

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from catspire.graphs import Graph, VertexSet
 from catspire.mass import CardinalityMass, WeightedMass
 from catspire.oracles import (
-    NODE_LIMIT_ENV,
     NodeLimitExceeded,
     brute_best_anticomplete,
     brute_induced_embedding,
-    default_node_limit,
     exact_chromatic_number,
     verify_witness,
 )
@@ -54,14 +52,9 @@ def test_embedding_within_and_edges():
 
 
 def test_embedding_node_limit(monkeypatch):
-    monkeypatch.setenv(NODE_LIMIT_ENV, "3")
+    monkeypatch.setattr("catspire.oracles.NODE_LIMIT", 3)
     with pytest.raises(NodeLimitExceeded, match="exceeded 3 search nodes"):
         brute_induced_embedding(path_graph(30), path_graph(5))
-    monkeypatch.setenv(NODE_LIMIT_ENV, "4096")
-    assert default_node_limit() == 4096
-    monkeypatch.setenv(NODE_LIMIT_ENV, "0")
-    with pytest.raises(ValueError, match="must be positive"):
-        default_node_limit()
 
 
 def test_anticomplete_frozen():
