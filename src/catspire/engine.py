@@ -35,7 +35,6 @@ from .graphs import (
     connected_order,
     is_connected,
     neighbour_mask,
-    neighbours,
     shortest_path,
 )
 from .mass import MassProvider
@@ -698,14 +697,11 @@ def run_trichotomy(
         note("stuck", at=stage)
         return Stuck.make(stage, diagnostics)
 
-    for v in range(g.n):
-        if m.mass(VertexSet([v])) >= eps:
-            note("axiom-1", vertex=v)
-            return finish(HighMassVertex(v))
-    for v in range(g.n):
-        if m.mass(neighbours(g, v)) >= eps:
-            note("axiom-2", vertex=v)
-            return finish(HighMassNeighbourhood(v))
+    hit = m.axiom_hit(g, eps)
+    if hit is not None:
+        axiom, v = hit
+        note(f"axiom-{axiom}", vertex=v)
+        return finish(HighMassVertex(v) if axiom == 1 else HighMassNeighbourhood(v))
 
     p, tau = params.p, params.tau
     if not _feasible(eps, p, tau):

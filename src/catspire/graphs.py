@@ -116,32 +116,41 @@ class VertexSet:
 class Graph:
     """Undirected simple graph on vertices 0..n-1.
 
-    Adjacency is one int bitmask per vertex.  Instances are immutable by
+    Adjacency is one int bitmask per vertex, and the degrees are counted
+    as the masks are built, so reading one costs no popcount of an n-bit
+    mask.  A repeated edge counts once.  Instances are immutable by
     convention: nothing in this package mutates a graph after construction.
     """
 
-    __slots__ = ("n", "_adj")
+    __slots__ = ("n", "_adj", "_degree")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()) -> None:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         adj = [0] * n
+        degree = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+            row = adj[u]
+            grown = row | 1 << v
+            if grown != row:
+                adj[u] = grown
+                adj[v] |= 1 << u
+                degree[u] += 1
+                degree[v] += 1
         self.n = n
         self._adj = adj
+        self._degree = degree
 
     def adj(self, v: int) -> int:
         """Adjacency bitmask of v (fast path used throughout the engine)."""
         return self._adj[v]
 
     def degree(self, v: int) -> int:
-        return self._adj[v].bit_count()
+        return self._degree[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and 0 <= v < self.n and (self._adj[u] >> v) & 1 == 1
@@ -158,7 +167,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(a.bit_count() for a in self._adj) // 2
+        return sum(self._degree) // 2
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj

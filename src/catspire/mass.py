@@ -11,11 +11,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import UNPACK_MIN_MEMBERS, Graph, VertexSet, bits, unpack
+from .graphs import UNPACK_MIN_MEMBERS, Graph, VertexSet, bits, neighbours, unpack
 from .oracles import DEFAULT_CHROMATIC_LIMIT, exact_chromatic_number
 
 
@@ -28,10 +28,30 @@ class MassProvider:
     (engine.least_reaching) rather than by a walk along the chain, so a
     provider that breaks it can get a wrong block, piece or cover without
     notice; verify_mass_axioms checks it.
+
+    The engine's axiom stage is the provider's axiom_hit.  Its default
+    asks mass for every singleton and then every neighbourhood; a provider
+    may answer from its own data instead, with exactly the default's
+    result.  A subclass that changes mass values must override axiom_hit
+    as well, or it inherits an answer about the old values.  ChromaticMass
+    keeps the default; at a feasible epsilon every chromatic run ends at
+    the axiom stage (README, "Library").
     """
 
     def mass(self, x: VertexSet) -> Fraction:
         raise NotImplementedError
+
+    def axiom_hit(self, g: Graph, epsilon: Fraction) -> Optional[Tuple[int, int]]:
+        """(1, v) for the least v whose singleton has mass at least epsilon;
+        failing that, (2, v) for the least v whose neighbourhood does; else
+        None.  Every singleton is tried before any neighbourhood."""
+        for v in range(g.n):
+            if self.mass(VertexSet([v])) >= epsilon:
+                return 1, v
+        for v in range(g.n):
+            if self.mass(neighbours(g, v)) >= epsilon:
+                return 2, v
+        return None
 
 
 class CardinalityMass(MassProvider):
@@ -44,6 +64,17 @@ class CardinalityMass(MassProvider):
 
     def mass(self, x: VertexSet) -> Fraction:
         return Fraction(len(x), self.n)
+
+    def axiom_hit(self, g: Graph, epsilon: Fraction) -> Optional[Tuple[int, int]]:
+        """The default's answer from the degrees: |X|/n >= a/b exactly when
+        |X| >= ceil(a*n/b)."""
+        bar = -(-epsilon.numerator * self.n // epsilon.denominator)
+        if g.n and bar <= 1:  # every singleton weighs 1/n
+            return 1, 0
+        degrees = list(map(g.degree, range(g.n)))
+        if not degrees or max(degrees) < bar:
+            return None
+        return 2, next(v for v, d in enumerate(degrees) if d >= bar)
 
 
 class WeightedMass(MassProvider):
@@ -85,6 +116,21 @@ class WeightedMass(MassProvider):
         for v in bits(mask):
             acc += units[v]
         return Fraction(acc, self._total)
+
+    def axiom_hit(self, g: Graph, epsilon: Fraction) -> Optional[Tuple[int, int]]:
+        """The default's answer from the integer units: a set reaches
+        epsilon = a/b exactly when its units reach ceil(a*total/b)."""
+        units = self._units
+        bar = -(-epsilon.numerator * self._total // epsilon.denominator)
+        for v in range(g.n):
+            if units[v] >= bar:
+                return 1, v
+        top = max(units)
+        for v in range(g.n):
+            # a neighbourhood's units are at most its degree times the top unit
+            if g.degree(v) * top >= bar and sum(units[w] for w in bits(g.adj(v))) >= bar:
+                return 2, v
+        return None
 
 
 class ChromaticMass(MassProvider):

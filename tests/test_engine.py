@@ -1,5 +1,6 @@
 """Engine stages: schedule, pieces, spires, realizations, merges, extraction."""
 
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from catspire.engine import (
     validate_spire,
 )
 from catspire.graphs import Graph, VertexSet
-from catspire.mass import CardinalityMass, WeightedMass
+from catspire.mass import CardinalityMass, MassProvider, WeightedMass
 from catspire.oracles import verify_witness
 from catspire.trees import CaterpillarTree, Chrysalis, Nursery, butterfly, phi
 from catspire.witnesses import (
@@ -572,6 +573,89 @@ def test_run_trichotomy_neighbourhood_at_exactly_epsilon():
     assert out == HighMassNeighbourhood(1)
 
 
+def test_run_trichotomy_weighted_singletons_come_first():
+    # vertex 5 alone weighs exactly epsilon, and so does the neighbourhood
+    # {1, 2, 3, 4} of vertex 0, which comes earlier; every singleton is
+    # tried before any neighbourhood
+    g = Graph(7, [(0, 1), (0, 2), (0, 3), (0, 4), (5, 6)])
+    m = WeightedMass([1, 1, 1, 1, 1, 4, 1])
+    eps = Fraction(4, 10)
+    assert m.mass(VertexSet([1, 2, 3, 4])) == eps
+    trace = []
+    out = run_trichotomy(g, m, CaterpillarTree(hook_graph()), EngineParams(3, eps, 2), trace=trace)
+    assert out == HighMassVertex(5)
+    assert trace == [
+        {"stage": "axiom-1", "vertex": "5"},
+        {"stage": "verified", "variant": "HighMassVertex"},
+    ]
+
+
+def test_run_trichotomy_weighted_neighbourhood_at_exactly_epsilon():
+    # units 1, 3, 1, 3, 1, 1 on a path: every vertex is below 3/5, the
+    # neighbourhoods of 0 and 1 weigh 3/10 and 1/5, and that of 2, {1, 3},
+    # weighs 3/5, its degree times the top unit
+    m = WeightedMass([Fraction(u, 2) for u in (1, 3, 1, 3, 1, 1)])
+    eps = Fraction(3, 5)
+    out = run_trichotomy(path_graph(6), m, CaterpillarTree(hook_graph()), EngineParams(3, eps, 2))
+    assert out == HighMassNeighbourhood(2)
+    assert m.axiom_hit(path_graph(6), eps - Fraction(1, 1 << 600)) == (2, 2)
+    assert m.axiom_hit(path_graph(6), eps + Fraction(1, 1 << 600)) is None
+
+
+class _Loop(MassProvider):
+    """Another provider's mass behind the default axiom scan of MassProvider."""
+
+    def __init__(self, inner: MassProvider) -> None:
+        self.inner = inner
+
+    def mass(self, x: VertexSet) -> Fraction:
+        return self.inner.mass(x)
+
+
+@st.composite
+def axiom_cases(draw):
+    """A seeded graph on 1 to 40 vertices, with isolated vertices and
+    repeated edges, an additive mass on it (weights may be zero), and an
+    epsilon that is one of its vertex or neighbourhood masses, a hair either
+    side of one, or drawn freely with a denominator of 600 bits or more."""
+    n = draw(st.integers(1, 40))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0, 0.5, 1, 3, 8]))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density / n]
+    edges += rng.sample(edges, min(len(edges), draw(st.integers(0, 3))))
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    rng.shuffle(edges)
+    g = Graph(n, edges)
+    if draw(st.booleans()):
+        m = CardinalityMass(n)
+    else:
+        units = [rng.choice((0, 0, 1, 2, 3, rng.randint(0, 10**6))) for _ in range(n)]
+        units[rng.randrange(n)] += 1
+        m = WeightedMass([Fraction(u, rng.choice((1, 2, 3, 7))) for u in units])
+    masses = [m.mass(VertexSet([v])) for v in range(n)]
+    masses += [m.mass(VertexSet.from_mask(g.adj(v))) for v in range(n)]
+    base = draw(st.sampled_from(sorted({x for x in masses if x > 0}) or [Fraction(1)]))
+    hair = Fraction(1, draw(st.integers(1 << 600, 1 << 640)))
+    free = Fraction(draw(st.integers(1, 1 << 64)), draw(st.integers(1 << 600, 1 << 640)))
+    eps = draw(st.sampled_from([base, base + hair, max(base - hair, hair), free]))
+    return g, m, eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(axiom_cases())
+def test_axiom_scan_matches_the_mass_loop(case):
+    g, m, eps = case
+    assert [g.degree(v) for v in range(g.n)] == [g.adj(v).bit_count() for v in range(g.n)]
+    assert g.edge_count == len(g.edges())
+    assert m.axiom_hit(g, eps) == MassProvider.axiom_hit(m, g, eps)
+    hook = CaterpillarTree(hook_graph())
+    params = EngineParams(3, eps, 2)
+    fast, loop = [], []
+    out = run_trichotomy(g, m, hook, params, trace=fast)
+    assert out == run_trichotomy(g, _Loop(m), hook, params, trace=loop)
+    assert fast == loop
+
+
 def test_run_trichotomy_anticomplete_on_long_path():
     hook = CaterpillarTree(hook_graph())
     g = path_graph(200)
@@ -648,7 +732,7 @@ def test_run_trichotomy_extracts_beside_another_component(monkeypatch):
     assert [t["stage"] for t in trace] == _BUTTERFLY_TRACE
 
 
-class _SmallSetsLight:
+class _SmallSetsLight(MassProvider):
     """|X|/n from 38 members on and |X|/(10n) below: monotone, not subadditive."""
 
     def __init__(self, n: int) -> None:
@@ -703,7 +787,7 @@ def test_run_trichotomy_stuck_off_guarantee():
     }
 
 
-class _AllOrNothing:
+class _AllOrNothing(MassProvider):
     """Mass 1 on the whole vertex set and 0 on every proper subset, so no
     vertex or neighbourhood axiom fires on a path."""
 

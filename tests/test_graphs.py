@@ -70,6 +70,13 @@ def test_graph_construction():
     assert g != Graph(5, [(0, 1), (1, 2)])
 
 
+def test_repeated_edge_counts_once():
+    g = Graph(3, [(0, 1), (1, 0), (0, 1)])
+    assert [g.degree(v) for v in range(3)] == [1, 1, 0]
+    assert g.edge_count == 1
+    assert g == Graph(3, [(0, 1)])
+
+
 def test_has_edge_range_checks_both_ends():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     assert not g.has_edge(1, -1) and not g.has_edge(0, -3)
