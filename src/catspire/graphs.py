@@ -4,7 +4,8 @@ Vertex sets are thin wrappers around Python ints used as bitmasks, so the
 hot operations (intersection, difference, connectivity floods) are single
 big-integer instructions.  Induced subgraphs are always represented as a
 (graph, VertexSet) pair and never copied.  bits is the one walk that lists
-the members of a mask.
+the members of a mask, and _flood is the one breadth-first walk: components,
+is_connected, connected_order and shortest_path all read it.
 """
 
 from __future__ import annotations
@@ -194,11 +195,11 @@ def neighbour_mask(g: Graph, mask: int) -> int:
     return out
 
 
-def _flood(g: Graph, seed: int, allowed: int, order: Optional[List[int]] = None) -> int:
+def _flood(g: Graph, seed: int, allowed: int, layers: Optional[List[List[int]]] = None) -> int:
     """Mask of the connected component of `seed` inside `allowed`.
 
-    When `order` is given, each breadth-first layer beyond the seed is
-    appended to it in ascending id order.
+    When `layers` is given, each breadth-first layer beyond the seed is
+    appended to it as a list in ascending id order.
     """
     adj = g._adj
     comp = seed
@@ -210,37 +211,33 @@ def _flood(g: Graph, seed: int, allowed: int, order: Optional[List[int]] = None)
         frontier = reach & allowed & ~comp
         comp |= frontier
         layer = bits(frontier)
-        if order is not None:
-            order.extend(layer)
+        if layers is not None:
+            layers.append(layer)
     return comp
 
 
 def shortest_path(g: Graph, a: int, b: int, allowed: int) -> Optional[Tuple[int, ...]]:
     """A shortest a-b path inside the `allowed` mask.
 
-    Breadth-first from a, each vertex taking as parent the first frontier
-    vertex that reaches it, frontier vertices in discovery order and their
-    neighbours by ascending id.  Returns the path including both ends, or
-    None when b is unreachable.
+    Walks back from b through the breadth-first layers from a, each step
+    taking the least-id neighbour in the layer before, so among shortest
+    paths it follows ascending ids layer by layer, as connected_order does.
+    Returns the path including both ends, or None when b is unreachable.
     """
+    layers = [[a]]
+    _flood(g, 1 << a, allowed, layers)
     adj = g._adj
-    parent = {a: a}
-    frontier = [a]
-    while frontier and b not in parent:
-        nxt = []
-        for u in frontier:
-            for v in bits(adj[u] & allowed):
-                if v not in parent:
-                    parent[v] = u
-                    nxt.append(v)
-        frontier = nxt
-    if b not in parent:
-        return None
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
+    path = []
+    # b alone until it turns up, then the row of the last vertex taken
+    want = 1 << b
+    for layer in reversed(layers):
+        for u in layer:
+            if want >> u & 1:
+                path.append(u)
+                want = adj[u]
+                break
     path.reverse()
-    return tuple(path)
+    return tuple(path) if path else None
 
 
 def components(g: Graph, x: VertexSet) -> List[VertexSet]:
@@ -270,14 +267,8 @@ def is_connected(g: Graph, x: VertexSet) -> bool:
 
 def is_anticomplete(g: Graph, a: VertexSet, b: VertexSet) -> bool:
     """True iff a and b are disjoint and no edge of g joins them."""
-    if a.mask & b.mask:
-        return False
-    # iterate the smaller side
     small, other = (a, b) if len(a) <= len(b) else (b, a)
-    for v in small:
-        if g.adj(v) & other.mask:
-            return False
-    return True
+    return not a.mask & b.mask and not neighbour_mask(g, small.mask) & other.mask
 
 
 def connected_order(g: Graph, z: VertexSet, z1: int) -> List[int]:
@@ -288,7 +279,7 @@ def connected_order(g: Graph, z: VertexSet, z1: int) -> List[int]:
     """
     if z1 not in z:
         raise ValueError(f"start vertex {z1} not in the set")
-    order = [z1]
-    if _flood(g, 1 << z1, z.mask, order) != z.mask:
+    layers = [[z1]]
+    if _flood(g, 1 << z1, z.mask, layers) != z.mask:
         raise ValueError("induced subgraph is disconnected")
-    return order
+    return [v for layer in layers for v in layer]

@@ -167,7 +167,10 @@ def _closing_edge(adj: List[List[int]], root: int, length: int) -> Optional[Tupl
     """The first edge (u, w) with dist(u) + dist(w) + 1 == length, breadth
     first from root with neighbours by ascending id.  With no cycle shorter
     than length, that is the first closing edge of a length-cycle through
-    root.  A tree edge gives 2*depth < length, so no parent map is needed."""
+    root.  A tree edge gives 2*depth < length, so no parent map is needed.
+    It keeps its own walk rather than graphs._flood: it runs on id lists
+    that lose edges as they drop, and the rescan reference test and the
+    frozen generator outputs pin its discovery-order tie rule."""
     dist = {root: 0}
     frontier = [root]
     for depth in range((length + 1) // 2):

@@ -182,6 +182,9 @@ def test_shortest_path_frozen():
     assert shortest_path(path_graph(5), 3, 3, every) == (3,)
     forest = Graph(4, [(0, 1), (2, 3)])
     assert shortest_path(forest, 0, 3, (1 << 4) - 1) is None
+    # two shortest paths: each step back from 7 takes the least-id neighbour
+    g = Graph(10, [(0, 1), (0, 2), (1, 9), (2, 3), (3, 7), (7, 9)])
+    assert shortest_path(g, 0, 7, (1 << 10) - 1) == (0, 2, 3, 7)
 
 
 # ------------------------------------------------- networkx cross-check
@@ -260,3 +263,8 @@ def test_graph_kernel_matches_networkx(case):
         assert len(path) - 1 == nx.shortest_path_length(induced, a, b)
         assert (path[0], path[-1]) == (a, b) and set(path) <= set(members)
         assert all(g.has_edge(u, v) for u, v in zip(path, path[1:]))
+        dist = nx.single_source_shortest_path_length(induced, a)
+        assert all(
+            path[i - 1] == min(u for u in induced[path[i]] if dist[u] == i - 1)
+            for i in range(1, len(path))
+        )
