@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .graphs import (
@@ -217,23 +219,22 @@ def least_reaching(reach: Callable[[int], bool], length: int) -> Optional[int]:
     return hi
 
 
-def _prefix_unions(parts: Sequence[int]) -> Callable[[int], int]:
-    """i -> the union of the masks parts[0..i], built from checkpoints.
+def _prefix_unions(span: Callable[[int, int], int]) -> Callable[[int], int]:
+    """i -> span(0, i + 1), built from checkpoints, where span(a, b) is the
+    union of parts a..b-1 as a mask.
 
-    Every union built is kept as a checkpoint and the next one starts from
-    the nearest checkpoint below it.  Under least_reaching the checkpoints
-    are its probes, so O(log) masks are alive and all the unions together
-    cost O(i) ORs, as many as one linear walk.
+    Every union built is kept as a checkpoint, and the next one adds to the
+    nearest checkpoint below it the span of the parts in between.  Under
+    least_reaching the checkpoints are its probes, so O(log) masks are alive
+    and all the unions together span each part O(1) times, as one linear
+    walk does.
     """
     marks = {-1: 0}
 
     def union(i: int) -> int:
         base = max(k for k in marks if k <= i)
-        acc = marks[base]
-        for part in parts[base + 1 : i + 1]:
-            acc |= part
-        marks[i] = acc
-        return acc
+        marks[i] = marks[base] | span(base + 1, i + 1)
+        return marks[i]
 
     return union
 
@@ -252,7 +253,7 @@ def big_piece(
     if m.mass(x) < 3 * epsilon:
         raise ValueError("big_piece needs mass(x) >= 3*epsilon")
     comps = components(g, x)
-    prefix_mask = _prefix_unions([c.mask for c in comps])
+    prefix_mask = _prefix_unions(lambda a, b: reduce(or_, (c.mask for c in comps[a:b]), 0))
     idx = least_reaching(
         lambda i: m.mass(VertexSet.from_mask(prefix_mask(i))) >= epsilon, len(comps)
     )
@@ -423,11 +424,11 @@ def check_realization(g: Graph, m: MassProvider, r: Realization) -> List[str]:
     # neighbour mask per non-head class, shared by conditions 4 and 5: both
     # test only pairs with a non-head side (a child is never a head), and
     # adjacency is symmetric, so such a pair is tested from that side
-    reach = {v: neighbour_mask(g, r.assignment[v].mask) for v in vs if v not in heads}
+    reach = {v: neighbour_mask(g, r.assignment[v]) for v in vs if v not in heads}
 
     # 3: leaf path vertices see nothing outside their own class
     for v in leaves:
-        path_reach = neighbour_mask(g, VertexSet(r.spires[v].xs).mask)
+        path_reach = neighbour_mask(g, r.spires[v].xs)
         for u in vs:
             if u != v and path_reach & r.assignment[u].mask:
                 problems.append(f"spire path of leaf {v} has edges to the class of {u}")
@@ -479,9 +480,11 @@ def _first_cover(
 
     The classes only shrink as s grows, so by monotonicity of the mass the
     least s is found by search; j is the least index that hit at that s,
-    which is the first hit of the step-by-step walk.
+    which is the first hit of the step-by-step walk.  Each union gathers
+    the neighbour rows of its span into one mask, so no step builds an
+    n-bit mask of its own.
     """
-    covered = _prefix_unions([g.adj(v) for v in order])
+    covered = _prefix_unions(lambda a, b: neighbour_mask(g, order[a:b]))
     indices = sorted(shaved)
     hits: Dict[int, int] = {}
 
@@ -546,7 +549,7 @@ def improve(
     if not isinstance(grown, Spire):
         return grown
 
-    xs_reach = neighbour_mask(g, VertexSet(grown.xs).mask)
+    xs_reach = neighbour_mask(g, grown.xs)
     shaved: Dict[int, int] = {
         j: r.assignment[heads[j]].mask & ~xs_reach for j in range(k) if j != i
     }

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .engine import EngineParams, TheoremViolation, run_trichotomy
-from .graphs import Graph, bits
+from .graphs import Graph
 from .mass import CardinalityMass
 from .oracles import verify_witness
 from .trees import CaterpillarTree
@@ -135,16 +135,16 @@ class GenSpec:
         )
 
 
-def _gnp_edges(rng: np.random.Generator, n: int, prob: Fraction) -> List[Tuple[int, int]]:
+def _gnp_edges(rng: np.random.Generator, n: int, prob: Fraction) -> np.ndarray:
+    """The (m, 2) array of G(n, prob) edges (u, w), u < w, in ascending order."""
     # one exact draw per vertex pair, row by row to bound memory; the draw
     # count per row is fixed, so edges depend only on the seed
     num, den = prob.numerator, prob.denominator
-    edges: List[Tuple[int, int]] = []
-    for u in range(n - 1):
-        draws = rng.integers(0, den, size=n - 1 - u)
-        for off in np.flatnonzero(draws < num):
-            edges.append((u, u + 1 + int(off)))
-    return edges
+    heads = [
+        u + 1 + np.flatnonzero(rng.integers(0, den, size=n - 1 - u) < num) for u in range(n - 1)
+    ]
+    tails = np.repeat(np.arange(len(heads)), np.array([len(h) for h in heads], np.int64))
+    return np.column_stack((tails, np.concatenate(heads or [np.empty(0, np.int64)])))
 
 
 def _generate_regular(rng: np.random.Generator, n: int, d: int) -> Graph:
@@ -156,7 +156,7 @@ def _generate_regular(rng: np.random.Generator, n: int, d: int) -> Graph:
         # simple exactly when no pair is a loop and no two pairs coincide
         keys = np.sort(pairs[:, 0] * n + pairs[:, 1])
         if (pairs[:, 0] < pairs[:, 1]).all() and (keys[1:] > keys[:-1]).all():
-            return Graph(n, pairs.tolist())
+            return Graph(n, pairs)
     raise ValueError(
         f"pairing model failed to produce a simple {d}-regular graph on {n} "
         f"vertices after {_PAIRING_RETRIES} attempts"
@@ -194,14 +194,14 @@ def _generate_high_girth(
     # ascending sweep of the roots per length finds every edge to drop.
     edges = _gnp_edges(rng, n, prob)
     g = Graph(n, edges)
-    adj = [bits(g.adj(v)) for v in range(n)]
+    adj = [list(row) for row in g.rows]
     for length in range(3, girth):
         for root in range(n):
             while (hit := _closing_edge(adj, root, length)) is not None:
                 u, w = hit
                 adj[u].remove(w)
                 adj[w].remove(u)
-    return Graph(n, [(u, w) for u, w in edges if w in adj[u]])
+    return Graph(n, [(u, w) for u, w in edges.tolist() if w in adj[u]])
 
 
 def _generate_caterpillar(spine: int, legs: Sequence[Tuple[int, int]]) -> Graph:

@@ -71,7 +71,7 @@ class CardinalityMass(MassProvider):
         bar = -(-epsilon.numerator * self.n // epsilon.denominator)
         if g.n and bar <= 1:  # every singleton weighs 1/n
             return 1, 0
-        degrees = list(map(g.degree, range(g.n)))
+        degrees = list(map(len, g.rows))
         if not degrees or max(degrees) < bar:
             return None
         return 2, next(v for v, d in enumerate(degrees) if d >= bar)
@@ -126,9 +126,9 @@ class WeightedMass(MassProvider):
             if units[v] >= bar:
                 return 1, v
         top = max(units)
-        for v in range(g.n):
+        for v, row in enumerate(g.rows):
             # a neighbourhood's units are at most its degree times the top unit
-            if g.degree(v) * top >= bar and sum(units[w] for w in bits(g.adj(v))) >= bar:
+            if len(row) * top >= bar and sum(units[w] for w in row) >= bar:
                 return 2, v
         return None
 

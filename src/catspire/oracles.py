@@ -2,20 +2,24 @@
 pairs, exact chromatic numbers, and the witness verifier.
 
 These are the referees.  Of the package they use only the witness classes
-and, from catspire.graphs, Graph, VertexSet, bits, neighbour_mask,
-neighbours and is_anticomplete; the reference test
+and, from catspire.graphs, Graph (n, rows, has_edge), VertexSet, bits,
+neighbours and neighbour_mask; the reference test
 tests/test_graphs.py::test_bits_matches_a_per_bit_scan pins bits, the one
-member walk, against a plain per-bit scan.  All searches are deterministic
-and return lexicographic extremes so their outputs can be frozen into tests.
+member walk, against a plain per-bit scan.  verify_witness checks pairs and
+mappings in its own loops over Graph.n, Graph.has_edge and Graph.rows, so
+it shares no code with the engine's neighbour_mask, is_anticomplete and
+floods: it lists a side's members with bits, and only its neighbourhood
+mass check calls neighbours.  All searches are deterministic and return
+lexicographic extremes so their outputs can be frozen into tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
-from .graphs import Graph, VertexSet, bits, is_anticomplete, neighbour_mask, neighbours
+from .graphs import Graph, VertexSet, bits, neighbour_mask, neighbours
 from .witnesses import (
     AnticompletePair,
     HighMassNeighbourhood,
@@ -50,21 +54,25 @@ def brute_induced_embedding(
     if k == 0:
         return ()
 
-    host = [(c, g.adj(c)) for c in bits(allowed)]
-    earlier = [bits(t.adj(i) & ((1 << i) - 1)) for i in range(k)]
+    host = bits(allowed)
+    inside = set(host)
+    rows = g.rows
+    earlier = [[j for j in t.rows[i] if j < i] for i in range(k)]
     images: List[int] = []
-    used = 0
+    used: Set[int] = set()
     nodes = 0
 
     def candidates(i: int) -> List[int]:
-        # required adjacency pattern against already-placed vertices
-        req = 0
-        for j in earlier[i]:
-            req |= 1 << images[j]
-        return [c for c, adj in host if adj & used == req and not used >> c & 1]
+        # required adjacency pattern against already-placed vertices; when
+        # it is not empty, every candidate is in the ascending row of one
+        # required image, so that row is scanned instead of the host
+        req = {images[j] for j in earlier[i]}
+        pool = rows[images[earlier[i][0]]] if req else host
+        return [c for c in pool if c in inside and c not in used
+                and used.intersection(rows[c]) == req]
 
     def search(i: int) -> bool:
-        nonlocal used, nodes
+        nonlocal nodes
         if i == k:
             return True
         for c in candidates(i):
@@ -72,10 +80,10 @@ def brute_induced_embedding(
             if nodes > NODE_LIMIT:
                 raise NodeLimitExceeded(f"exceeded {NODE_LIMIT} search nodes")
             images.append(c)
-            used |= 1 << c
+            used.add(c)
             if search(i + 1):
                 return True
-            used &= ~(1 << c)
+            used.remove(c)
             images.pop()
         return False
 
@@ -100,7 +108,7 @@ def brute_best_anticomplete(g: Graph) -> Tuple[VertexSet, VertexSet]:
     best_size = None
     best_pair = None
     for a_mask in range(1, full + 1):
-        b_mask = full & ~(a_mask | neighbour_mask(g, a_mask))
+        b_mask = full & ~(a_mask | neighbour_mask(g, bits(a_mask)))
         if not b_mask:
             continue
         sa, sb = a_mask.bit_count(), b_mask.bit_count()
@@ -136,8 +144,9 @@ def exact_chromatic_number(g: Graph, within: Optional[VertexSet] = None) -> int:
     # local adjacency over positions 0..k-1
     adj = [0] * k
     for i, v in enumerate(verts):
-        for w in bits(g.adj(v) & mask):
-            adj[i] |= 1 << idx[w]
+        for w in g.rows[v]:
+            if w in idx:
+                adj[i] |= 1 << idx[w]
     deg = [a.bit_count() for a in adj]
 
     full = (1 << k) - 1
@@ -227,16 +236,19 @@ def verify_witness(g: Graph, m, t, epsilon: Fraction, w: Witness) -> Verificatio
         elif m.mass(neighbours(g, v)) < epsilon:
             problems.append(f"neighbourhood mass of vertex {v} is below epsilon")
     elif isinstance(w, AnticompletePair):
-        stray = (w.a | w.b) - g.vertices()
-        if not w.a or not w.b:
+        a, b = w.a.members(), w.b.members()
+        stray = sorted({v for v in a + b if v >= g.n})
+        if not a or not b:
             problems.append("pair sides must be nonempty")
         if stray:
             # the graph and the mass are only defined on 0..n-1
             problems.extend(f"pair vertex {v} out of range" for v in stray)
         else:
-            if not w.a.isdisjoint(w.b):
+            small, large = (a, b) if len(a) <= len(b) else (b, a)
+            far = set(large)
+            if not far.isdisjoint(small):
                 problems.append("pair sides intersect")
-            elif not is_anticomplete(g, w.a, w.b):
+            elif any(u in far for v in small for u in g.rows[v]):
                 problems.append("an edge joins the two sides")
             if w.a and m.mass(w.a) < epsilon:
                 problems.append("mass of side a is below epsilon")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .graphs import Graph, is_connected, neighbours
+from .graphs import Graph, is_connected
 
 
 def _is_tree(g: Graph) -> bool:
@@ -29,16 +29,16 @@ def _hub(g: Graph, threshold: int) -> Optional[int]:
     contains that subtree, so there is one exactly when the subtree is
     itself a path, and then it is the shortest.
     """
-    hi = {v for v in range(g.n) if g.degree(v) >= threshold}
+    degree = list(map(len, g.rows))
+    hi = {v for v, d in enumerate(degree) if d >= threshold}
     if len(hi) <= 1:
         return len(hi)
-    degree = [g.degree(v) for v in range(g.n)]
     alive = set(range(g.n))
     leaves = [v for v in range(g.n) if degree[v] == 1 and v not in hi]
     while leaves:
         v = leaves.pop()
         alive.remove(v)
-        for w in neighbours(g, v):
+        for w in g.rows[v]:
             if w in alive:
                 degree[w] -= 1
                 if degree[w] == 1 and w not in hi:
@@ -84,16 +84,18 @@ def fit_tau(t) -> int:
         raise ValueError("fit number is defined only for caterpillar subdivisions")
     g = t.tree
     hub = _hub(g, 3)
-    max_degree = max((g.degree(v) for v in range(g.n)), default=0)
+    degree = list(map(len, g.rows))
+    max_degree = max(degree, default=0)
 
     # longest path all of whose internal vertices have degree exactly 2: from
     # each vertex, follow each neighbour on through degree-2 vertices only
     thread = 1
-    for a in range(g.n):
-        for b in neighbours(g, a):
+    for a, row in enumerate(g.rows):
+        for b in row:
             prev, v, length = a, b, 2
-            while g.degree(v) == 2:
-                prev, v = v, (g.adj(v) & ~(1 << prev)).bit_length() - 1
+            while degree[v] == 2:
+                x, y = g.rows[v]
+                prev, v = v, y if x == prev else x
                 length += 1
             thread = max(thread, length)
 

@@ -1,7 +1,7 @@
 """Shared fixture builders: small named graphs and synthetic realizations."""
 
 from fractions import Fraction
-from typing import Iterable, Tuple
+from typing import Iterable, List, Tuple
 
 from catspire.engine import Realization, Spire
 from catspire.graphs import Graph, VertexSet
@@ -76,3 +76,35 @@ def butterfly_host(tau: int, short: Iterable[int] = ()) -> Tuple[Graph, Realizat
     g = Graph(nxt, edges)
     r = Realization(Nursery(tau, [comp]), assignment, spires, Fraction(1, g.n))
     return g, r
+
+
+def seven_merge_host(c: int) -> Tuple[int, List[Tuple[int, int]]]:
+    """(n, edges) of a deterministic host on which run_trichotomy merges
+    seven times.
+
+    Made for the hook at tau = 3, p = 8 and epsilon = 1/12288 under
+    CardinalityMass, on n = 12288*c vertices.  Blocks b0..b7 are consecutive
+    id ranges of L = 1531*c vertices, the least prefix that reaches
+    kappa0 = 1531/12288, and 40*c isolated vertices pad the tail.  Each
+    block is a path in id order.  The matchings b0[k]-b1[k], b2[k]-b1[k],
+    b4[k]-b3[k] and b6[k]-b5[k] and the fan-outs b1[k]-b3[4(k-3)+r],
+    b3[k]-b5[4(k-12)+r] and b5[k]-b7[4(k-12)+r] for r < 4 wire the blocks
+    together.  The maximum degree is 8, so for c > 8 no neighbourhood
+    reaches epsilon and neither axiom fires.
+    """
+    size = 1531 * c
+
+    def at(block: int, k: int) -> int:
+        return block * size + k
+
+    edges = [(at(b, k), at(b, k + 1)) for b in range(8) for k in range(size - 1)]
+    for a, b in ((0, 1), (2, 1), (4, 3), (6, 5)):
+        edges.extend((at(a, k), at(b, k)) for k in range(size))
+    for a, b, shift in ((1, 3, 3), (3, 5, 12), (5, 7, 12)):
+        edges.extend(
+            (at(a, k), at(b, 4 * (k - shift) + r))
+            for k in range(size)
+            for r in range(4)
+            if 0 <= 4 * (k - shift) + r < size
+        )
+    return 12288 * c, edges

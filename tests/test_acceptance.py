@@ -66,6 +66,7 @@ from helpers import (
     hook_graph,
     path_graph,
     petersen_graph,
+    seven_merge_host,
     star_graph,
 )
 
@@ -566,6 +567,37 @@ def test_deep_run_companion_clears_the_axiom_stage(capsys):
     assert verify_witness(g, m, hook, params.epsilon, w).verdict == "pass"
     _report(capsys, "deep-run-companion", True,
             f"AnticompletePair in {elapsed:.1f}s at n=40960")
+
+
+def test_seven_merges_end_in_a_verified_copy(capsys):
+    """The generated host that drives every merge of improve at tau = 3,
+    p = 8, and the butterfly extraction, through run_trichotomy."""
+    hook = CaterpillarTree(hook_graph())
+    params = EngineParams(3, Fraction(1, 12288), 8)
+    started = time.perf_counter()
+    n, edges = seven_merge_host(9)
+    g = Graph(n, edges)
+    m = CardinalityMass(n)
+    trace = []
+    w = run_trichotomy(g, m, hook, params, trace=trace)
+    elapsed = time.perf_counter() - started
+    assert n == 110_592
+    assert w == InducedCopy((5, 6, 13785, 27564, 27563, 41352))
+    assert [t["stage"] for t in trace] == (
+        ["blocks"] + ["improved"] * 7 + ["butterfly", "verified"]
+    )
+    assert [t["components"] for t in trace[1:8]] == [str(k) for k in range(7, 0, -1)]
+    assert verify_witness(g, m, hook, params.epsilon, w).verdict == "pass"
+
+    # the image checked from the generator's own edge list
+    image = set(w.mapping)
+    induced = nx.Graph()
+    induced.add_nodes_from(image)
+    induced.add_edges_from(e for e in edges if e[0] in image and e[1] in image)
+    target = nx.Graph(hook_graph().edges())
+    assert nx.is_isomorphic(induced, target)
+    _report(capsys, "seven-merges", True,
+            f"InducedCopy after 7 merges in {elapsed:.1f}s at n={n}")
 
 
 def test_kappa_schedule_recurrence_is_exact(capsys):

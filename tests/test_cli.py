@@ -408,11 +408,11 @@ def _cap_address_space():
 
 
 def test_out_of_memory_in_a_capped_child_exits_71(tmp_path, hook_file):
-    # each of the 60000 bitmask rows spans at least 30000 bits: about 225 MB
-    # of adjacency, so parsing the graph runs out under a 200 MiB cap
-    half = 30000
-    g = _write(tmp_path, "g.txt", f"{2 * half} {half}\n"
-               + "".join(f"{i} {i + half}\n" for i in range(half)))
+    # a Graph holds one row per vertex: even when every row is the shared
+    # empty tuple, the list its rows are gathered in and the tuple that keeps
+    # them take one 8-byte pointer per vertex each.  At n = 2^25 either alone
+    # is 256 MiB, so parsing this edgeless graph runs out under a 200 MiB cap
+    g = _write(tmp_path, "g.txt", f"{1 << 25} 0\n")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": str(Path(catspire.__file__).resolve().parents[1])}
     child = subprocess.run(

@@ -3,12 +3,14 @@
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from catspire.engine import Spire, validate_spire
 from catspire.graphs import (
+    SORT_MIN_EDGES,
     UNPACK_MIN_MEMBERS,
     Graph,
     VertexSet,
@@ -17,6 +19,7 @@ from catspire.graphs import (
     connected_order,
     is_anticomplete,
     is_connected,
+    neighbour_mask,
     neighbours,
     shortest_path,
 )
@@ -268,3 +271,62 @@ def test_graph_kernel_matches_networkx(case):
             path[i - 1] == min(u for u in induced[path[i]] if dist[u] == i - 1)
             for i in range(1, len(path))
         )
+
+
+@st.composite
+def edge_lists(draw):
+    """n <= 80 and an edge list, some of it repeated in either orientation,
+    whose degrees fall on either side of 32: a sparse background plus a few
+    hubs joined to a drawn share of the vertices."""
+    n = draw(st.integers(1, 80))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 2 / n]
+    for hub in rng.sample(range(n), min(n, draw(st.integers(0, 3)))):
+        share = draw(st.sampled_from([0.2, 0.5, 1.0]))
+        edges += [(hub, v) for v in range(n) if v != hub and rng.random() < share]
+    edges += [(v, u) for u, v in rng.sample(edges, len(edges) // 4)]
+    edges += rng.sample(edges, len(edges) // 4)
+    rng.shuffle(edges)
+    a, b = (rng.sample(range(n), rng.randint(0, n)) for _ in range(2))
+    return n, edges, a, b
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(edge_lists(), st.booleans())
+def test_graph_storage_matches_networkx(case, as_array):
+    n, edges, a, b = case
+    array = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    g, h = Graph(n, array if as_array else edges), _nx_graph(n, edges)
+    assert g == Graph(n, edges) == Graph(n, array)
+
+    for v in range(n):
+        assert g.adj(v) == sum(1 << w for w in h[v])
+        assert g.degree(v) == h.degree(v)
+        assert all(g.has_edge(v, w) == h.has_edge(v, w) for w in range(n))
+    assert g.edges() == sorted((min(e), max(e)) for e in h.edges())
+    assert g.edge_count == h.number_of_edges()
+
+    reach = set().union(*(h[v] for v in a))
+    assert neighbour_mask(g, a) == sum(1 << w for w in reach)
+    joined = any(h.has_edge(u, v) for u in a for v in b)
+    assert is_anticomplete(g, VertexSet(a), VertexSet(b)) == (
+        not set(a) & set(b) and not joined
+    )
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+@pytest.mark.parametrize("padding", [0, SORT_MIN_EDGES])
+def test_graph_edge_errors_name_the_first_bad_edge(as_array, padding):
+    # padding good edges in front puts the same bad edges on either side of
+    # SORT_MIN_EDGES, so both builders are checked
+    def build(n, edges):
+        edges = [(0, 1)] * padding + edges
+        return Graph(n, np.array(edges) if as_array else edges)
+
+    with pytest.raises(ValueError, match=r"^edge \(0, 2\) out of range for n=2$"):
+        build(2, [(0, 1), (0, 2), (1, 1)])
+    with pytest.raises(ValueError, match=r"^edge \(-1, 0\) out of range for n=2$"):
+        build(2, [(-1, 0)])
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
+        build(2, [(0, 1), (1, 1), (0, 2)])
+    assert build(2, [(1, 0)]) == Graph(2, [(0, 1)])

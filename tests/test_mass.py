@@ -149,3 +149,16 @@ def test_axioms_catch_broken_providers():
     big = path_graph(30)
     report = verify_mass_axioms(_Squared(30), big, budget=300, seed=1)
     assert not report.ok
+
+
+def test_weighted_axiom_hit_at_exactly_the_bar_with_nothing_pruned():
+    # units 1, 1, 1, 3, 1, 1 on the 6-cycle, total 8: at epsilon 1/2 the bar
+    # is 4 units, every vertex has degree 2 and 2 * 3 >= 4, so the degree
+    # bound prunes no vertex; the neighbourhoods of 0 and 1 weigh 2 units
+    # and that of 2, {1, 3}, weighs exactly 4
+    g = cycle_graph(6)
+    m = WeightedMass([1, 1, 1, 3, 1, 1])
+    eps = Fraction(1, 2)
+    hair = Fraction(1, 1 << 600)
+    assert m.axiom_hit(g, eps) == MassProvider.axiom_hit(m, g, eps) == (2, 2)
+    assert m.axiom_hit(g, eps + hair) is MassProvider.axiom_hit(m, g, eps + hair) is None

@@ -1,8 +1,10 @@
 """Brute-force baselines and the independent witness checker."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -196,3 +198,105 @@ def test_verify_stuck_is_unverified():
     assert r.verdict == "unverified"
     assert not r.ok
     assert r.problems == ("stuck at spire-blocked: mass=1/8",)
+
+
+# ------------------------------------------ the referee against networkx
+
+
+@st.composite
+def hosts(draw):
+    """n <= 14 and a seeded random edge list, with the rng for tampering."""
+    n = draw(st.integers(2, 14))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.sampled_from([0.1, 0.3, 0.6]))
+    return n, [e for e in combinations(range(n), 2) if rng.random() < p], rng
+
+
+def _pair_holds(n, edges, a, b, eps):
+    """The pair conditions read off networkx: sides nonempty, in range,
+    disjoint, no edge between them, each of at least eps of n."""
+    h = nx.Graph(edges)
+    h.add_nodes_from(a | b)
+    return bool(
+        a and b and max(a | b) < n and not a & b
+        and not any(True for _ in nx.edge_boundary(h, a, b))
+        and len(a) >= eps * n and len(b) >= eps * n
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(hosts())
+def test_referee_judges_pairs_as_networkx_does(case):
+    n, edges, rng = case
+    h = nx.Graph(edges)
+    h.add_nodes_from(range(n))
+    a = set(rng.sample(range(n), rng.randint(1, min(3, n - 1))))
+    far = [v for v in range(n) if v not in a and not any(u in a for u in h[v])]
+    b = set(rng.sample(far, rng.randint(1, len(far)))) if far else {max(set(range(n)) - a)}
+    # each side at exactly eps when the pair is honest
+    eps = Fraction(min(len(a), len(b)), n)
+    small = a if len(a) <= len(b) else b
+    moved = set(b)
+    moved.remove(rng.choice(sorted(b)))
+    moved.add(rng.randrange(n))
+    cases = [
+        ("honest", edges, a, b),
+        ("moved vertex", edges, a, moved),
+        ("added edge", edges + [(min(a), min(b))], a, b),
+        ("taken from the smaller side", edges, a - {min(small)} if small is a else a,
+         b - {min(small)} if small is b else b),
+        ("out of range", edges, a, b | {n + rng.randrange(3)}),
+    ]
+    for label, es, x, y in cases:
+        report = verify_witness(
+            Graph(n, es), CardinalityMass(n), CaterpillarTree(path_graph(3)), eps,
+            AnticompletePair(VertexSet(x), VertexSet(y)),
+        )
+        assert report.ok == _pair_holds(n, es, x, y, eps), (label, x, y, report)
+        if label in ("added edge", "taken from the smaller side", "out of range"):
+            assert not report.ok, label
+
+
+def _copy_holds(edges, target, mapping, n):
+    h = nx.Graph(edges)
+    h.add_nodes_from(range(n))
+    return len(set(mapping)) == len(mapping) and all(
+        v < n for v in mapping
+    ) and all(
+        target.has_edge(i, j) == h.has_edge(mapping[i], mapping[j])
+        for i, j in combinations(range(len(mapping)), 2)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(hosts())
+def test_referee_judges_mappings_as_networkx_does(case):
+    n, edges, rng = case
+    target = nx.Graph(hook_graph().edges())
+    # plant an induced hook on six random vertices
+    n = max(n, 6)
+    mapping = tuple(rng.sample(range(n), 6))
+    planted = set(mapping)
+    edges = [e for e in edges if not (e[0] in planted and e[1] in planted)]
+    edges += [(mapping[i], mapping[j]) for i, j in target.edges()]
+    i, j = sorted(rng.sample(range(6), 2))
+    swapped = list(mapping)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    loose = next(
+        (mapping[x], mapping[y]) for x, y in combinations(range(6), 2)
+        if not target.has_edge(x, y)
+    )
+    cases = [
+        ("honest", edges, mapping),
+        ("two images swapped", edges, tuple(swapped)),
+        ("added edge", edges + [loose], mapping),
+        ("out of range", edges, mapping[:5] + (n + rng.randrange(3),)),
+    ]
+    t = CaterpillarTree(hook_graph())
+    for label, es, images in cases:
+        report = verify_witness(
+            Graph(n, es), CardinalityMass(n), t, Fraction(1, n), InducedCopy(images)
+        )
+        assert report.ok == _copy_holds(es, target, images, n), (label, images, report)
+        if label != "two images swapped":
+            assert report.ok == (label == "honest"), label
