@@ -164,6 +164,8 @@ def _rows_by_sort(
         flat = edges.astype(np.int64, copy=False)
     else:
         flat = np.fromiter(chain.from_iterable(edges), np.int64)
+        if flat.size != 2 * len(edges):
+            raise ValueError("every edge must be a (u, v) pair")
     pairs = flat.reshape(-1, 2)
     u, v = pairs[:, 0], pairs[:, 1]
     bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v)
@@ -201,6 +203,10 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
+        elif edges.size and (edges.shape[1:] != (2,) or edges.dtype.kind not in "iu"):
+            raise ValueError(
+                f"an edge array must be integers of shape (m, 2), not {edges.dtype} {edges.shape}"
+            )
         elif len(edges) < SORT_MIN_EDGES:
             edges = edges.tolist()
         self.n = n

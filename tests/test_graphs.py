@@ -330,3 +330,18 @@ def test_graph_edge_errors_name_the_first_bad_edge(as_array, padding):
     with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
         build(2, [(0, 1), (1, 1), (0, 2)])
     assert build(2, [(1, 0)]) == Graph(2, [(0, 1)])
+
+
+@pytest.mark.parametrize("count", [1, SORT_MIN_EDGES])
+def test_graph_rejects_edges_that_are_not_pairs(count):
+    # an adjacency matrix or a list of triples must not be read as pairs on
+    # either side of SORT_MIN_EDGES
+    for edges in (
+        [(0, 1, 2)] * count,
+        np.array([(0, 1, 2)] * count),
+        np.ones((count, 4, 2), np.int64),
+        np.array([(0.0, 1.0)] * count),
+    ):
+        with pytest.raises(ValueError):
+            Graph(4, edges)
+    assert Graph(4, np.empty(0)) == Graph(4, np.empty((0, 2), np.int64)) == Graph(4)
