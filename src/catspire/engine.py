@@ -32,10 +32,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from .graphs import (
     Graph,
     VertexSet,
-    bits,
     components,
     connected_order,
     is_connected,
+    mask_of,
     neighbour_mask,
     shortest_path,
 )
@@ -184,9 +184,8 @@ def validate_spire(g: Graph, s: Spire) -> List[str]:
         problems.append("z meets x_1..x_(tau-1)")
     if xs[-1] not in s.z:
         problems.append("x_tau is not in z")
-    quiet = s.z.mask & ~(1 << xs[-1])
     for v in xs[:-1]:
-        if g.adj(v) & quiet:
+        if any(w in s.z and w != xs[-1] for w in g.rows[v]):
             problems.append(f"{v} has a neighbour in z beyond x_tau")
     if not is_connected(g, s.z):
         problems.append("z is not connected")
@@ -300,10 +299,9 @@ def grow_spire(
         x1 = z_cur.least()
     xs = [x1]
 
-    removed = 0
+    rows = g.rows
     for _ in range(tau - 1):
-        removed |= g.adj(xs[-1])
-        y = VertexSet.from_mask(x.mask & ~removed)
+        y = VertexSet.from_mask(x.mask & ~neighbour_mask(g, xs))
         if m.mass(y) < 3 * epsilon:
             return Stuck.make(
                 "spire-blocked",
@@ -316,8 +314,9 @@ def grow_spire(
         z_next = big_piece(g, m, y, epsilon)
         if isinstance(z_next, AnticompletePair):
             return z_next
+        # rows ascend, so the first fit is the least
         cand = next(
-            (v for v in bits(g.adj(xs[-1]) & z_cur.mask) if g.adj(v) & z_next.mask), None
+            (v for v in rows[xs[-1]] if v in z_cur and any(w in z_next for w in rows[v])), None
         )
         if cand is None:
             return Stuck.make(
@@ -598,23 +597,22 @@ def _host_paths(g: Graph, r: Realization, comp: Chrysalis) -> VertexSet:
     prev = r.assignment[spine[0]].least()
     picks[spine[0]] = prev
     for v in spine[1:]:
-        options = g.adj(prev) & r.assignment[v].mask
-        if not options:
+        cls = r.assignment[v]
+        # rows ascend, so the first member in the class is the least
+        prev = next((w for w in g.rows[prev] if w in cls), None)
+        if prev is None:
             raise ValueError(
                 f"class of spine vertex {v} has no neighbour of the previous pick"
             )
-        prev = VertexSet.from_mask(options).least()
         picks[v] = prev
 
-    host = 0
-    for pick in picks.values():
-        host |= 1 << pick
+    host = list(picks.values())
     for u in sorted(comp.leaves()):
         anchor = picks[comp.parent[u]]
         s = r.spires[u]
         # a shortest path from the anchor to the path tip inside the
         # reservoir; shortest paths are induced
-        walk = shortest_path(g, anchor, s.xs[-1], s.z.mask | (1 << anchor))
+        walk = shortest_path(g, anchor, s.xs[-1], s.z.mask | mask_of([anchor]))
         if walk is None:
             raise ValueError(f"leaf {u}: reservoir path from the spine pick is broken")
         if len(walk) >= tau:
@@ -623,9 +621,8 @@ def _host_paths(g: Graph, r: Realization, comp: Chrysalis) -> VertexSet:
             # extend backwards along the spire path, which is anticomplete to
             # everything the walk can touch except its tip
             path = walk + s.xs[-2::-1][: tau - len(walk)]
-        for w in path:
-            host |= 1 << w
-    return VertexSet.from_mask(host)
+        host.extend(path)
+    return VertexSet(host)
 
 
 def extract_copy(g: Graph, r: Realization, t: CaterpillarTree) -> Tuple[int, ...]:

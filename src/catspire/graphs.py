@@ -39,11 +39,7 @@ def unpack(mask: int, n: int) -> np.ndarray:
 
 def bits(mask: int) -> List[int]:
     """The set bits of a nonnegative mask, in ascending order."""
-    count = mask.bit_count()
-    if count == 1:
-        # the commonest mask in a flood of a path, or a singleton's mass
-        return [mask.bit_length() - 1]
-    if count >= UNPACK_MIN_MEMBERS:
+    if mask.bit_count() >= UNPACK_MIN_MEMBERS:
         return np.flatnonzero(unpack(mask, mask.bit_length())).tolist()
     out = []
     while mask:
@@ -215,7 +211,11 @@ class Graph:
         )
 
     def adj(self, v: int) -> int:
-        """Neighbour mask of v, built from its row on each call."""
+        """Neighbour mask of v, built from its row on each call.
+
+        The engine reads rows; neighbours, the tests and the benchmark
+        tracer's adjacency_bytes call this.
+        """
         return mask_of(self.rows[v])
 
     def degree(self, v: int) -> int:

@@ -305,6 +305,35 @@ def test_batch_rejects_wrong_json_types(tmp_path, capsys, change, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "case, code, message",
+    [
+        ("weights-short", 64, "weight file has 2 entries for 6 vertices"),
+        ("unknown-mass", 64, "unknown mass 'volume'"),
+        ("bad-legs", 64, "bad leg '3x'"),
+        ("batch-tree-file", 0, ""),
+        ("batch-tree-number", 66, "tree must be a file path or {spine, legs}"),
+    ],
+)
+def test_input_errors_exit_with_their_codes(tmp_path, capsys, hook_file, case, code, message):
+    g = _graph_file(tmp_path, "g.txt", path_graph(6))
+    certify = ["certify", "--graph", g, "--tree", hook_file, "--mass"]
+    argv = {
+        "weights-short": certify + ["weighted:" + _write(tmp_path, "w.txt", "1\n2\n")],
+        "unknown-mass": certify + ["volume"],
+        "bad-legs": ["gen", "--model", "caterpillar_subdivision", "--spine", "5", "--legs", "3x"],
+        "batch-tree-file": ["batch", "--spec", _write(
+            tmp_path, "file.json", json.dumps({**_GOOD_BATCH, "tree": hook_file}))],
+        "batch-tree-number": ["batch", "--spec", _write(
+            tmp_path, "number.json", json.dumps({**_GOOD_BATCH, "tree": 5}))],
+    }[case]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert message in captured.err
+    if code == 0:
+        assert json.loads(captured.out)["counts"] == {"high-mass-neighbourhood": 1}
+
+
 def test_batch_theorem_violation_writes_replay(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, "batch.json", json.dumps(_GOOD_BATCH))
     monkeypatch.chdir(tmp_path)

@@ -328,6 +328,27 @@ def test_grow_spire_remaining_mass_at_exactly_three_epsilon_continues():
     }
 
 
+def test_grow_spire_stuck_without_a_continuation_vertex():
+    # the heavy vertex 0 is its own big piece twice over; its only neighbour,
+    # 1, lies outside x, so no vertex can continue the path
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    out = grow_spire(g, WeightedMass([100, 1, 1, 1]), VertexSet([0, 2, 3]), 3, Fraction(1, 10))
+    assert out.stage == "spire-blocked"
+    assert out.diag_dict() == {
+        "reason": "no continuation vertex into the next big piece",
+        "path_so_far": "[0]",
+    }
+
+
+def test_grow_spire_takes_the_least_neighbour_that_sees_the_next_piece():
+    # 0 sees the pendant 1 and the twins 2 and 3, which both see the path
+    # 4..19; 1 cannot see the next big piece {4..19}, and 2 and 3 both can
+    g = Graph(20, [(0, 1), (0, 2), (0, 3), (2, 4), (3, 4)] + [(v, v + 1) for v in range(4, 19)])
+    s = grow_spire(g, CardinalityMass(20), VertexSet(range(20)), 3, Fraction(1, 10))
+    assert s == Spire((0, 2, 4), VertexSet(range(4, 20)))
+    assert validate_spire(g, s) == []
+
+
 def test_grow_spire_surfaces_pair():
     g = disjoint_union(complete_graph(4), complete_graph(4))
     out = grow_spire(g, CardinalityMass(8), VertexSet(range(8)), 3, Fraction(1, 8))
@@ -414,6 +435,36 @@ def test_check_realization_flags_a_class_that_does_not_cover():
     assert check_realization(g, CardinalityMass(25), wide) == [
         "class of 1 does not cover the class of 0"
     ]
+
+
+def test_check_realization_flags_an_invalid_component():
+    # leaf 7 moved from spine vertex 3 to 2: the spine degrees break, and the
+    # classes no longer follow the nursery's edges
+    g, r = butterfly_host(3)
+    comp = r.nursery.components[0]
+    moved = Nursery(3, [Chrysalis(3, comp.head, {**comp.parent, 7: 2})])
+    out = check_realization(g, CardinalityMass(24), Realization(moved, r.assignment, r.spires, r.kappa))
+    assert out[0] == (
+        "component with head 0 invalid: spine vertex 2 has degree 4, not tau; "
+        "spine vertex 3 has degree 2, not tau"
+    )
+
+
+def test_check_realization_flags_a_broken_spire():
+    # 4 is x_1 of leaf 4's spire and 7 sits in its reservoir past the tip 6
+    g, r = butterfly_host(3)
+    noisy = Graph(24, list(g.edges()) + [(4, 7)])
+    assert check_realization(noisy, CardinalityMass(24), r) == [
+        "spire of leaf 4: 4 has a neighbour in z beyond x_tau"
+    ]
+
+
+def test_check_realization_flags_a_class_that_is_not_path_plus_reservoir():
+    # leaf 4's reservoir loses its end 8, which its class still holds
+    g, r = butterfly_host(3)
+    cut = {**r.spires, 4: Spire((4, 5, 6), VertexSet([6, 7]))}
+    out = check_realization(g, CardinalityMass(24), Realization(r.nursery, r.assignment, cut, r.kappa))
+    assert out == ["class of leaf 4 is not its spire path plus reservoir"]
 
 
 # ------------------------------------------------------------------- merge
@@ -516,6 +567,14 @@ def test_extract_copy_rejects_bad_inputs():
         extract_copy(g, drained, CaterpillarTree(path_graph(3)))
     with pytest.raises(ValueError, match="tau does not fit"):
         extract_copy(g, r, CaterpillarTree(path_graph(5)))
+    hook = CaterpillarTree(hook_graph())
+    cut = Graph(24, [e for e in g.edges() if e != (0, 1)])
+    with pytest.raises(ValueError, match="spine vertex 1 has no neighbour of the previous pick"):
+        extract_copy(cut, r, hook)
+    # (1, 8) joins leaf 4's reservoir end to its spine pick 1
+    cut = Graph(24, [e for e in g.edges() if e != (1, 8)])
+    with pytest.raises(ValueError, match="leaf 4: reservoir path from the spine pick is broken"):
+        extract_copy(cut, r, hook)
 
 
 def test_extract_copy_frozen_mappings():
@@ -523,6 +582,17 @@ def test_extract_copy_frozen_mappings():
     assert extract_copy(g, r, CaterpillarTree(hook_graph())) == (0, 1, 2, 3, 18, 13)
     assert extract_copy(g, r, CaterpillarTree(path_graph(3))) == (0, 1, 2)
     assert extract_copy(g, r, CaterpillarTree(star_graph(3))) == (1, 0, 2, 8)
+
+
+def test_extract_copy_picks_the_least_neighbour_in_each_spine_class():
+    # 24 joins spine vertex 1's class as a second neighbour of the pick 0,
+    # and sees 2 and 8 so that the children of 1 still cover the class; the
+    # least, 1, stays the pick, so the hook lands where it does without 24
+    g, r = butterfly_host(3)
+    wide = Graph(25, g.edges() + [(0, 24), (2, 24), (8, 24)])
+    r = Realization(r.nursery, {**r.assignment, 1: VertexSet([1, 24])}, r.spires, Fraction(1, 25))
+    assert check_realization(wide, CardinalityMass(25), r) == []
+    assert extract_copy(wide, r, CaterpillarTree(hook_graph())) == (0, 1, 2, 3, 18, 13)
 
 
 def test_extract_copy_verifies_against_oracle():
@@ -555,6 +625,8 @@ def test_run_trichotomy_axiom_witnesses():
     # Paper-level epsilon is tiny; a single vertex already clears it.
     out = run_trichotomy(path_graph(6), CardinalityMass(6), hook, EngineParams(3))
     assert out == HighMassVertex(0)
+    # a bare Graph target is wrapped as a caterpillar
+    assert run_trichotomy(path_graph(6), CardinalityMass(6), hook_graph(), EngineParams(3)) == out
 
     g = disjoint_union(complete_graph(50), complete_graph(50))
     params = EngineParams(3, Fraction(1, 10), 4)

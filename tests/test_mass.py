@@ -138,6 +138,19 @@ class _Shifted(MassProvider):
         return Fraction(len(x) + 1, self.n + 1)
 
 
+class _Parity(MassProvider):
+    """Deliberately broken: proper nonempty subsets weigh 1/2 at odd size and
+    1/4 at even size, so adding a vertex can make a set lighter."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def mass(self, x: VertexSet) -> Fraction:
+        if len(x) in (0, self.n):
+            return Fraction(len(x), self.n)
+        return Fraction(1, 2) if len(x) % 2 else Fraction(1, 4)
+
+
 def test_axioms_catch_broken_providers():
     g = path_graph(6)
     report = verify_mass_axioms(_Squared(6), g)
@@ -146,9 +159,19 @@ def test_axioms_catch_broken_providers():
     report = verify_mass_axioms(_Shifted(6), g)
     assert not report.ok
     assert report.failure == "mass of the empty set is not 0"
+    report = verify_mass_axioms(CardinalityMass(7), g)
+    assert (report.ok, report.checks) == (False, 2)
+    assert report.failure == "mass of the full vertex set is not 1"
+    report = verify_mass_axioms(_Parity(6), g)
+    assert not report.ok
+    assert report.failure == "monotonicity fails for 0x2 inside 0x3"
     big = path_graph(30)
     report = verify_mass_axioms(_Squared(30), big, budget=300, seed=1)
     assert not report.ok
+    assert "subadditivity fails" in report.failure
+    report = verify_mass_axioms(_Parity(30), big, budget=300, seed=1)
+    assert not report.ok
+    assert "monotonicity fails" in report.failure
 
 
 def test_weighted_axiom_hit_at_exactly_the_bar_with_nothing_pruned():
